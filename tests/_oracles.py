@@ -4,7 +4,9 @@ Everything here is computed by a different route than the package uses:
 the joint Gaussian likelihood goes through an explicit Toeplitz covariance
 and scipy's multivariate normal, the partial autocorrelations through a
 direct solve of the Yule-Walker system, predictions through brute-force
-recursion on the ARMA difference equation.
+recursion on the ARMA difference equation, the reference Kalman filter
+through a Kronecker-product stationary covariance and a full covariance
+update at every step, and the AR(2) likelihood in closed form.
 """
 
 from __future__ import annotations
@@ -99,3 +101,58 @@ def ols_tstat(y: np.ndarray, x: np.ndarray, col: int) -> float:
     s2 = float(resid @ resid) / dof
     cov = s2 * np.linalg.inv(x.T @ x)
     return float(beta[col] / np.sqrt(cov[col, col]))
+
+
+def kalman_loglik(ar, ma, mean: float, sigma2: float, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Textbook dense Kalman filter: (log-likelihood, innovation variances).
+
+    Harvey's companion form with state dimension r = max(p, q + 1).  The
+    initial covariance solves vec(P0) = (I - T kron T)^-1 vec(R R') directly,
+    and every step updates the full r x r covariance: no rank-one
+    recursion and no steady-state shortcut.
+    """
+    ar = np.asarray(ar, dtype=float)
+    ma = np.asarray(ma, dtype=float)
+    r = max(ar.size, ma.size + 1)
+    T = np.zeros((r, r))
+    T[: ar.size, 0] = ar
+    T[:-1, 1:] = np.eye(r - 1)
+    R = np.zeros(r)
+    R[0] = 1.0
+    R[1: ma.size + 1] = ma
+    Q = sigma2 * np.outer(R, R)
+    P = np.linalg.solve(np.eye(r * r) - np.kron(T, T), Q.ravel()).reshape(r, r)
+    a = np.zeros(r)
+    ll = 0.0
+    fs = np.empty(len(y))
+    for t, obs in enumerate(np.asarray(y, dtype=float) - mean):
+        f = P[0, 0]
+        v = obs - a[0]
+        fs[t] = f
+        ll -= 0.5 * (np.log(2.0 * np.pi * f) + v * v / f)
+        gain = P[:, 0] / f
+        a = T @ (a + gain * v)
+        P = T @ (P - np.outer(gain, P[0, :])) @ T.T + Q
+    return float(ll), fs
+
+
+def ar2_loglik(ar, sigma2: float, y: np.ndarray) -> float:
+    """Exact Gaussian log-likelihood of a zero-mean stationary AR(2), in closed form.
+
+    The first two values are jointly normal with the stationary covariance;
+    each later value is normal around its two-lag prediction.  Differences
+    such as gamma0 - gamma1 are formed from the coefficients, not by
+    subtraction, so the form stays accurate next to a double unit root.
+    """
+    a1, a2 = (float(c) for c in ar)
+    y = np.asarray(y, dtype=float)
+    g0 = sigma2 * (1.0 - a2) / ((1.0 + a2) * (1.0 - a2 - a1) * (1.0 - a2 + a1))
+    g0_minus_g1 = g0 * (1.0 - a2 - a1) / (1.0 - a2)
+    g0_plus_g1 = g0 * (1.0 - a2 + a1) / (1.0 - a2)
+    x0, x1 = y[0], y[1]
+    det = g0_minus_g1 * g0_plus_g1
+    quad = (g0 * (x0 - x1) ** 2 + 2.0 * g0_minus_g1 * x0 * x1) / det
+    head = -0.5 * (2.0 * np.log(2.0 * np.pi) + np.log(det) + quad)
+    e = y[2:] - a1 * y[1:-1] - a2 * y[:-2]
+    tail = -0.5 * (e.size * np.log(2.0 * np.pi * sigma2) + float(e @ e) / sigma2)
+    return float(head + tail)

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import START, make_series
+from conftest import FIXTURE_CSV, START, make_series
 from demandcast import (
     DataError,
     InsufficientDataError,
@@ -24,14 +25,21 @@ from demandcast import (
     save_fit,
     simulate,
 )
+from demandcast import estimation
 from demandcast.estimation import (
+    KAPPA_SCALE,
     MAX_EXPANDED_ORDER,
+    _innovations,
+    _z_to_blocks,
     coeffs_to_pacf,
     default_horizon_cap,
     is_invertible,
     is_stationary,
     pacf_to_coeffs,
 )
+from demandcast.series import difference
+
+MA_UNIT_ROOT_CSV = FIXTURE_CSV.parent / "ma_unit_root_train.csv"
 
 
 class TestSarimaSpec:
@@ -145,6 +153,31 @@ class TestPacfTransform:
         np.testing.assert_allclose(pacf_to_coeffs(np.array([0.7])), [0.7])
 
 
+ROLLING_SPEC = SarimaSpec(0, 0, 0, P=6, D=1, Q=3, s=7)
+ROLLING_PARAMS = SarimaParams(
+    seasonal_ar=(-1.045, -0.8467, -0.598752, -0.34358, -0.152, -0.05),
+    seasonal_ma=(-0.335, 0.1165, -0.05),
+    sigma2=3.0,
+)
+NEVER_STEADY_R2 = (SarimaSpec(0, 0, 1), SarimaParams(mean=1.0, ma=(-0.99999,), sigma2=2.0))
+NEVER_STEADY_R8 = (
+    SarimaSpec(0, 0, 0, P=1, Q=1, s=7),
+    SarimaParams(mean=-3.0, seasonal_ar=(0.5,), seasonal_ma=(-0.9999,), sigma2=0.5),
+)
+
+
+def _filter_output(spec, params, series):
+    """Innovations and their variances from the library's filter."""
+    w = difference(series, spec.diff_spec).values if spec.diff_spec.n_dropped else series.values
+    ar_rec, ma_rec = expand_polynomials(spec, params)
+    v, f, _, _ = _innovations(w - params.mean, ar_rec, ma_rec)
+    return w, v, f
+
+
+def _oracle_case(spec, params, n):
+    return spec, params, simulate(spec, params, n=n, seed=41)
+
+
 class TestLogLikelihood:
     def test_white_noise_closed_form(self):
         rng = np.random.default_rng(21)
@@ -158,18 +191,28 @@ class TestLogLikelihood:
         assert got == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize(
-        "ar,ma",
-        [((0.6,), ()), ((), (0.5,)), ((0.4, 0.25), (-0.3, 0.1))],
-        ids=["ar1", "ma1", "arma22"],
+        "spec,params,series",
+        [
+            *(
+                (
+                    SarimaSpec(len(ar), 0, len(ma), with_intercept=True),
+                    SarimaParams(mean=0.5, ar=ar, ma=ma, sigma2=1.3),
+                    make_series(np.random.default_rng(22).normal(size=10) * 2.0),
+                )
+                for ar, ma in [((0.6,), ()), ((), (0.5,)), ((0.4, 0.25), (-0.3, 0.1))]
+            ),
+            _oracle_case(SarimaSpec(1, 0, 0), SarimaParams(mean=2.0, ar=(0.6,), sigma2=1.5), 60),
+            _oracle_case(SarimaSpec(0, 0, 1), SarimaParams(ma=(-0.99999,), sigma2=0.7), 60),
+            _oracle_case(*NEVER_STEADY_R8, 150),
+            _oracle_case(ROLLING_SPEC, ROLLING_PARAMS, 150),
+        ],
+        ids=["ar1", "ma1", "arma22", "r1", "near-unit-ma", "never-steady-r8", "rolling-r42"],
     )
-    def test_matches_joint_gaussian_oracle(self, ar, ma):
-        rng = np.random.default_rng(22)
-        y = rng.normal(size=10) * 2.0
-        spec = SarimaSpec(len(ar), 0, len(ma), with_intercept=True)
-        params = SarimaParams(mean=0.5, ar=ar, ma=ma, sigma2=1.3)
-        got = log_likelihood(spec, params, make_series(y))
-        want = _oracles.mvn_loglik(ar, ma, 0.5, 1.3, y)
-        assert got == pytest.approx(want, abs=1e-8)
+    def test_matches_joint_gaussian_oracle(self, spec, params, series):
+        w, _, _ = _filter_output(spec, params, series)
+        ar_rec, ma_rec = expand_polynomials(spec, params)
+        want = _oracles.mvn_loglik(ar_rec, ma_rec, params.mean, params.sigma2, w)
+        assert log_likelihood(spec, params, series) == pytest.approx(want, abs=1e-8)
 
     def test_invariant_to_date_relabeling(self):
         y = np.random.default_rng(23).normal(size=30)
@@ -211,6 +254,132 @@ class TestLogLikelihood:
             log_likelihood(
                 SarimaSpec(1, 2, 0), SarimaParams(ar=(0.5,)), make_series([1.0, 2.0, 3.0, 4.0])
             )
+
+
+class TestFilterKernel:
+    @pytest.mark.parametrize("case", [NEVER_STEADY_R2, NEVER_STEADY_R8], ids=["r2", "r8"])
+    def test_long_never_steady_run_matches_dense_filter(self, case):
+        spec, params = case
+        series = simulate(spec, params, n=3713, seed=42)
+        w, _, f = _filter_output(spec, params, series)
+        # the covariance still moves in the last two weeks: no LTI phase was used
+        assert np.ptp(f[-14:]) > 0
+        ar_rec, ma_rec = expand_polynomials(spec, params)
+        want, f_dense = _oracles.kalman_loglik(ar_rec, ma_rec, params.mean, params.sigma2, w)
+        np.testing.assert_allclose(f * params.sigma2, f_dense, rtol=1e-10)
+        assert log_likelihood(spec, params, series) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("phi", [-0.9999, -0.99999])
+    def test_seasonal_root_near_minus_one_matches_dense_filter(self, phi):
+        # the bilinear Lyapunov solve loses digits next to an eigenvalue -1;
+        # max|P0| is 5e3 and 5e4 here, one on each side of the start-up switch
+        spec = SarimaSpec(0, 0, 0, P=1, s=7)
+        params = SarimaParams(mean=1.0, seasonal_ar=(phi,), sigma2=1.3)
+        series = simulate(spec, params, n=300, seed=5)
+        ar_rec, ma_rec = expand_polynomials(spec, params)
+        want, _ = _oracles.kalman_loglik(ar_rec, ma_rec, params.mean, params.sigma2, series.values)
+        assert log_likelihood(spec, params, series) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("margin", [5e-2, 1e-3, 1e-5, 1e-6])
+    def test_double_unit_root_matches_closed_form(self, margin):
+        # two autoregressive roots next to 1: the stationary covariance grows
+        # like 1/margin^2, past the scale where the Chandrasekhar start-up's
+        # running sums stay accurate, and the dense start-up takes over
+        ar = pacf_to_coeffs(np.array([1.0 - margin, -(1.0 - margin)]))
+        spec = SarimaSpec(2, 0, 0, with_intercept=False)
+        params = SarimaParams(ar=tuple(ar), sigma2=2.0)
+        series = simulate(SarimaSpec(0, 1, 0), SarimaParams(), n=120, seed=44)
+        want = _oracles.ar2_loglik(ar, 2.0, series.values)
+        assert log_likelihood(spec, params, series) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "case", [(ROLLING_SPEC, ROLLING_PARAMS), NEVER_STEADY_R8], ids=["rolling-r42", "never-steady-r8"]
+    )
+    def test_start_up_recursions_agree(self, case, monkeypatch):
+        spec, params = case
+        series = simulate(spec, params, n=400, seed=46)
+        _, v, f = _filter_output(spec, params, series)
+        monkeypatch.setattr(estimation, "CHANDRASEKHAR_MAX_SCALE", -1.0)
+        _, v_dense, f_dense = _filter_output(spec, params, series)
+        np.testing.assert_allclose(f, f_dense, rtol=1e-12)
+        np.testing.assert_allclose(v, v_dense, rtol=0, atol=1e-9 * np.abs(v).max())
+
+    def test_rolling_model_switches_to_steady_state(self):
+        series = simulate(ROLLING_SPEC, ROLLING_PARAMS, n=730, seed=43)
+        _, _, f = _filter_output(ROLLING_SPEC, ROLLING_PARAMS, series)
+        tail = f[-500:]
+        assert np.all(tail == tail[0])
+        assert f[0] > tail[0]
+
+
+# an optimizer coordinate where tanh is saturated: kappa = +-KAPPA_SCALE
+SATURATED_Z = 40.0
+
+
+class TestParameterBound:
+    SPECS = [
+        SarimaSpec(0, 1, 1),
+        SarimaSpec(2, 0, 2),
+        SarimaSpec(1, 1, 1, P=1, D=1, Q=1, s=7),
+        SarimaSpec(0, 0, 0, P=2, Q=2, s=7),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_parameters_at_the_bound_are_admissible(self, spec, sign):
+        # one partial autocorrelation at the bound, the others inside
+        dim = spec.p + spec.q + spec.P + spec.Q
+        series = simulate(SarimaSpec(0, 1, 0), SarimaParams(), n=120, seed=44)
+        for i in range(dim):
+            z = np.full(dim, 0.3)
+            z[i] = sign * SATURATED_Z
+            blocks = _z_to_blocks(z, spec)
+            params = SarimaParams(
+                ar=blocks["ar"], ma=blocks["ma"],
+                seasonal_ar=blocks["seasonal_ar"], seasonal_ma=blocks["seasonal_ma"],
+            )
+            assert np.isfinite(log_likelihood(spec, params, series))
+            fc = forecast(make_fit(spec, params), series, horizon=10)
+            assert np.isfinite(fc.point).all() and np.isfinite(fc.variance).all()
+
+    def test_moving_average_blocks_at_the_bound_are_admissible(self):
+        spec = SarimaSpec(0, 1, 2, P=0, D=1, Q=2, s=7)
+        series = simulate(SarimaSpec(0, 1, 0), SarimaParams(), n=120, seed=45)
+        for signs in ([1, 1, 1, 1], [-1, -1, -1, -1], [1, -1, 1, -1]):
+            blocks = _z_to_blocks(np.asarray(signs) * SATURATED_Z, spec)
+            params = SarimaParams(ma=blocks["ma"], seasonal_ma=blocks["seasonal_ma"])
+            assert np.isfinite(log_likelihood(spec, params, series))
+            forecast(make_fit(spec, params), series, horizon=10)
+
+    def test_unit_root_ma_input_stays_inside_the_bound(self):
+        # the first 200 days of a generated daily export; a search over bare
+        # tanh coordinates saturates here to an MA coefficient of exactly
+        # -1.0, which forecast then rejects as not invertible
+        y = np.loadtxt(MA_UNIT_ROOT_CSV, delimiter=",", skiprows=1, usecols=1)
+        series = make_series(y, dt.date(2013, 1, 1))
+        result = fit(SarimaSpec(0, 2, 1), series)
+        assert -KAPPA_SCALE <= result.params.ma[0] < -0.999
+        forecast(result, series, horizon=56)
+
+    @given(
+        spec=st.sampled_from(
+            [SarimaSpec(0, 2, 1), SarimaSpec(0, 1, 1), SarimaSpec(1, 2, 0), SarimaSpec(1, 0, 1),
+             SarimaSpec(0, 1, 2), SarimaSpec(0, 0, 0, P=1, D=1, Q=1, s=7)]
+        ),
+        seed=st.integers(0, 2**16),
+        phi=st.floats(-0.9, 0.95),
+        drift=st.floats(-2.0, 2.0),
+    )
+    @settings(deadline=None, max_examples=12)
+    def test_any_fit_is_accepted_by_forecast(self, spec, seed, phi, drift):
+        noise = simulate(SarimaSpec(1, 0, 0), SarimaParams(ar=(phi,)), n=140, seed=seed).values
+        series = make_series(100.0 + drift * np.arange(140) + noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = fit(spec, series)
+        fc = forecast(result, series, horizon=14)
+        assert np.isfinite(fc.point).all()
+        assert log_likelihood(spec, result.params, series) == pytest.approx(result.loglik, rel=1e-9)
 
 
 class TestFit:
@@ -383,6 +552,12 @@ class TestSimulate:
     def test_rejects_explosive_model(self):
         with pytest.raises(SpecError):
             simulate(SarimaSpec(1, 0, 0), SarimaParams(ar=(1.05,)), n=10, seed=0)
+
+    def test_subnormal_coefficient_is_admissible(self):
+        # a root finder divides by the last coefficient and overflows here
+        params = SarimaParams(ar=(5e-324,), ma=(-5e-324,))
+        assert is_stationary(SarimaSpec(1, 0, 1), params)
+        assert len(simulate(SarimaSpec(1, 0, 1), params, n=10, seed=0)) == 10
 
 
 class TestSaveLoad:
