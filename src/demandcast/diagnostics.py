@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from . import _adfdata
 from .errors import DataError, InsufficientDataError, NumericalError, SpecError
@@ -75,7 +75,7 @@ def _mackinnon_pvalue(stat: float, regression: str) -> tuple[float, bool]:
         coeffs = _adfdata.SMALL_P[regression]
     else:
         coeffs = _adfdata.LARGE_P[regression]
-    p = float(stats.norm.cdf(np.polyval(coeffs[::-1], stat)))
+    p = float(ndtr(np.polyval(coeffs[::-1], stat)))
     if p < P_CLAMP:
         return P_CLAMP, True
     if p > 1.0 - P_CLAMP:
@@ -83,46 +83,37 @@ def _mackinnon_pvalue(stat: float, regression: str) -> tuple[float, bool]:
     return p, False
 
 
-def _ols_tstat0(y: np.ndarray, X: np.ndarray) -> tuple[float, float]:
-    """OLS fit returning (t-ratio of column 0, residual sum of squares)."""
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise NumericalError("singular regression matrix in unit-root test")
-    resid = y - X @ beta
-    ssr = float(resid @ resid)
-    dof = X.shape[0] - X.shape[1]
-    if dof <= 0:
-        raise InsufficientDataError("unit-root regression has no residual degrees of freedom")
-    s2 = ssr / dof
-    xtx_inv = np.linalg.inv(X.T @ X)
-    se0 = float(np.sqrt(s2 * xtx_inv[0, 0]))
-    if se0 == 0.0 or not np.isfinite(se0):
-        raise NumericalError("degenerate standard error in unit-root test")
-    return float(beta[0] / se0), ssr
+def _adf_design(x: np.ndarray, lag: int, regression: str) -> np.ndarray:
+    """Augmented matrix [deterministics, x_{t-1}, dx_{t-1..t-lag}, dx_t] of the test regression.
 
-
-def _ols_ssr(y: np.ndarray, X: np.ndarray) -> float:
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise NumericalError("singular regression matrix in unit-root test")
-    resid = y - X @ beta
-    return float(resid @ resid)
-
-
-def _adf_design(x: np.ndarray, lag: int, regression: str) -> tuple[np.ndarray, np.ndarray]:
-    """Regression of dx_t on x_{t-1}, lagged dx terms and deterministics."""
+    The last column is the response.  Any lag order k <= ``lag`` keeps the
+    sample and uses the regressor prefix of ``ntrend + 1 + k`` columns.
+    """
     dx = np.diff(x)
-    t0 = lag
-    y = dx[t0:]
-    m = y.size
-    cols = [x[t0: x.size - 1]]
-    for j in range(1, lag + 1):
-        cols.append(dx[t0 - j: dx.size - j])
+    m = dx.size - lag
+    cols = []
     if regression in ("c", "ct"):
         cols.append(np.ones(m))
     if regression == "ct":
         cols.append(np.arange(1.0, m + 1.0))
-    return y, np.column_stack(cols)
+    cols.append(x[lag: x.size - 1])
+    for j in range(1, lag + 1):
+        cols.append(dx[lag - j: dx.size - j])
+    cols.append(dx[lag:])
+    return np.vstack(cols).T  # column-major, as LAPACK's QR takes it without a copy
+
+
+def _r_factor(A: np.ndarray) -> np.ndarray:
+    """R of the QR factorisation of an augmented matrix with full-rank regressors.
+
+    Rank is judged on diag(R) with the cut-off ``lstsq`` applies for
+    ``rcond=None``: eps * max(rows, columns) relative to the largest entry.
+    """
+    R = np.linalg.qr(A, mode="r")
+    diag = np.abs(np.diag(R)[:-1])
+    if not diag.min() > np.finfo(float).eps * max(A.shape) * diag.max():
+        raise NumericalError("singular regression matrix in unit-root test")
+    return R
 
 
 def default_max_lag(n: int) -> int:
@@ -154,28 +145,34 @@ def adf_test(series: TimeSeries, regression: str = "c", max_lag: int | None = No
     max_lag = min(max_lag, max(hard_cap, 0))
 
     # lag choice: same trimmed sample for every candidate, AIC on the Gaussian
-    # log-likelihood of the residuals
-    y_sel, X_sel = _adf_design(x, max_lag, regression)
-    m = y_sel.size
+    # log-likelihood of the residuals; one QR gives every candidate's SSR as
+    # the squared tail of the response column of R
+    A = _adf_design(x, max_lag, regression)
+    m = A.shape[0]
     if m <= max_lag + ntrend + 2:
         raise InsufficientDataError("series too short for the requested lag order")
-    aics = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        keep = list(range(k + 1)) + list(range(max_lag + 1, max_lag + 1 + ntrend))
-        ssr = _ols_ssr(y_sel, X_sel[:, keep])
-        ncols = k + 1 + ntrend
-        llf = -m / 2.0 * (np.log(2.0 * np.pi) + np.log(ssr / m) + 1.0)
-        aics[k] = -2.0 * llf + 2.0 * ncols
-    best_lag = int(np.argmin(aics))
+    tail_ssr = np.cumsum(_r_factor(A)[::-1, -1] ** 2)[::-1]
+    ncols = ntrend + 1 + np.arange(max_lag + 1)
+    llf = -m / 2.0 * (np.log(2.0 * np.pi) + np.log(tail_ssr[ncols] / m) + 1.0)
+    best_lag = int(np.argmin(-2.0 * llf + 2.0 * ncols))
 
-    y, X = _adf_design(x, best_lag, regression)
-    stat, _ = _ols_tstat0(y, X)
+    # the chosen lag refit on its own sample, which the check above leaves at
+    # least two residual degrees of freedom; row ntrend of R^-1 gives the
+    # x_{t-1} coefficient and its variance factor, (X'X)^-1 = R^-1 R^-T
+    A = _adf_design(x, best_lag, regression)
+    R = _r_factor(A)
+    k = A.shape[1] - 1
+    row = np.linalg.solve(R[:k, :k].T, np.eye(k)[ntrend])
+    se = float(np.sqrt(R[k, k] ** 2 / (A.shape[0] - k) * (row @ row)))
+    if se == 0.0 or not np.isfinite(se):
+        raise NumericalError("degenerate standard error in unit-root test")
+    stat = float(row @ R[:k, k]) / se
     p, clamped = _mackinnon_pvalue(stat, regression)
     return AdfResult(
         statistic=stat,
         p_value=p,
         used_lags=best_lag,
-        n_effective=y.size,
+        n_effective=A.shape[0],
         regression=regression,
         p_value_clamped=clamped,
     )

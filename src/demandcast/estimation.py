@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import optimize, signal
+import scipy  # submodules load on first use, so importing the package skips them
 
 from .errors import DataError, InsufficientDataError, NumericalError, SpecError
 from .series import DifferenceSpec, TimeSeries, difference, dropped_initials, integrate
@@ -382,7 +381,7 @@ def _kf_core(y: np.ndarray, tcol: np.ndarray, rvec: np.ndarray, p0: np.ndarray):
     if not 0.0 < F < math.inf:
         raise NumericalError(f"innovation variance left (0, inf) at step {switch}")
     gain = K / F
-    pred, a_end = signal.lfilter(
+    pred, a_end = scipy.signal.lfilter(
         np.append(0.0, gain), np.append(1.0, gain - tcol), y[switch:], zi=a[:-1]
     )
     v[switch:] = y[switch:] - pred
@@ -431,7 +430,7 @@ def _stationary_state_cov(tcol: np.ndarray, rvec: np.ndarray) -> np.ndarray:
     residual = Q
     for _ in range(LYAPUNOV_REFINEMENTS + 1):
         try:
-            step = sla.solve_discrete_lyapunov(T, residual, method="bilinear")
+            step = scipy.linalg.solve_discrete_lyapunov(T, residual, method="bilinear")
         except Exception as exc:
             raise NumericalError(f"stationary covariance solve failed: {exc}") from exc
         P0 = P0 + (step + step.T) / 2.0
@@ -699,7 +698,7 @@ RESTART_MIN_GAIN = 1e-4
 GRAD_MAX_EVALS = 3000
 
 
-def _minimize_once(objective, z0: np.ndarray) -> "optimize.OptimizeResult":
+def _minimize_once(objective, z0: np.ndarray) -> "scipy.optimize.OptimizeResult":
     """One local search: gradient-based first, simplex fallback.
 
     L-BFGS-B on the unconstrained coordinates converges in a few hundred
@@ -707,14 +706,14 @@ def _minimize_once(objective, z0: np.ndarray) -> "optimize.OptimizeResult":
     as a fallback for the rare starts where finite-difference gradients hit
     an inadmissible (infinite) likelihood region and the line search aborts.
     """
-    res = optimize.minimize(
+    res = scipy.optimize.minimize(
         objective, z0, method="L-BFGS-B",
         options={"maxfun": GRAD_MAX_EVALS, "ftol": 1e-11, "gtol": 1e-7},
     )
     if res.success and np.isfinite(res.fun):
         return res
     fallback_start = res.x if np.isfinite(res.fun) else z0
-    nm = optimize.minimize(
+    nm = scipy.optimize.minimize(
         objective, fallback_start, method="Nelder-Mead",
         options={"xatol": NM_XATOL, "fatol": 1e-10, "maxfev": NM_MAX_EVALS, "maxiter": NM_MAX_EVALS},
     )
@@ -823,7 +822,7 @@ def _psi_weights(ar_rec: np.ndarray, ma_rec: np.ndarray, diff: DifferenceSpec, h
         ar_poly = np.convolve(ar_poly, seasonal)
     impulse = np.zeros(horizon)
     impulse[0] = 1.0
-    return signal.lfilter(np.append(1.0, ma_rec), ar_poly, impulse)
+    return scipy.signal.lfilter(np.append(1.0, ma_rec), ar_poly, impulse)
 
 
 def default_horizon_cap(spec: SarimaSpec) -> int:
@@ -854,7 +853,7 @@ def forecast(
     ar_rec, ma_rec = _admissible_polynomials(spec, params)
     _, _, a_pred, tcol = _innovations(wc, ar_rec, ma_rec)
     # zero-input run of the companion recursion a <- T a, reading a[0]
-    m, _ = signal.lfilter([0.0], np.append(1.0, -tcol), np.zeros(horizon), zi=a_pred)
+    m, _ = scipy.signal.lfilter([0.0], np.append(1.0, -tcol), np.zeros(horizon), zi=a_pred)
     w_hat = m + params.mean
 
     diff = spec.diff_spec
@@ -900,7 +899,7 @@ def simulate(
     burn = 10 * r + 100
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(params.sigma2), size=n + burn)
-    path = signal.lfilter(
+    path = scipy.signal.lfilter(
         np.concatenate(([1.0], ma_rec)), np.concatenate(([1.0], -ar_rec)), eps
     )[burn:]
     path = path + params.mean

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -122,6 +123,15 @@ def _classify_column(cell: str) -> str | None:
 
 def _parse_date(cell: str) -> dt.date | None:
     cell = cell.strip()
+    # fast path for the exports' zero-padded DD/MM/YYYY; the loop below is
+    # the definition, so anything else (and an invalid day) goes through it
+    if len(cell) == 10 and cell[2] == cell[5] == "/" and cell.isascii():
+        day, month, year = cell[:2], cell[3:5], cell[6:]
+        if day.isdigit() and month.isdigit() and year.isdigit():
+            try:
+                return dt.date(int(year), int(month), int(day))
+            except ValueError:
+                pass
     for fmt in ("%d/%m/%Y", "%Y-%m-%d"):
         try:
             return dt.datetime.strptime(cell, fmt).date()
@@ -138,7 +148,7 @@ def _parse_float(cell: str) -> float | None:
         v = float(cell)
     except ValueError:
         return None
-    return v if np.isfinite(v) else None
+    return v if math.isfinite(v) else None
 
 
 def _decode_text(raw: bytes) -> str:
@@ -186,6 +196,9 @@ def parse_records(source) -> list[RawRecord]:
             )
         date_idx = columns.index("date")
         demand_idx = columns.index("max_demand_mw")
+        extra_cols = [
+            (j, key) for j, key in enumerate(columns) if key is not None and j not in (date_idx, demand_idx)
+        ]
         records: list[RawRecord] = []
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
@@ -198,11 +211,7 @@ def parse_records(source) -> list[RawRecord]:
             demand = _parse_float(row[demand_idx])
             if demand is not None and demand <= 0:
                 demand = None
-            extras = {}
-            for j, key in enumerate(columns):
-                if key is None or j in (date_idx, demand_idx) or j >= len(row):
-                    continue
-                extras[key] = _parse_float(row[j])
+            extras = {key: _parse_float(row[j]) for j, key in extra_cols if j < len(row)}
             records.append(RawRecord(date=date, max_demand_mw=demand, extras=extras))
         if not records:
             raise DataError("input has a header but no data rows")

@@ -185,6 +185,11 @@ def evaluate_grid(
     train, test = split(series, split_spec)
     specs = list(candidates.specs)
     if jobs > 1:
+        # forked workers inherit loaded modules: load the filter and optimizer
+        # stack once here rather than in every worker of every pool
+        import scipy.optimize  # noqa: F401
+        import scipy.signal  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_evaluate_candidate, specs, [train] * len(specs),
                                  [test] * len(specs), [seed] * len(specs)))

@@ -6,10 +6,14 @@ and scipy's multivariate normal, the partial autocorrelations through a
 direct solve of the Yule-Walker system, predictions through brute-force
 recursion on the ARMA difference equation, the reference Kalman filter
 through a Kronecker-product stationary covariance and a full covariance
-update at every step, and the AR(2) likelihood in closed form.
+update at every step, the AR(2) likelihood in closed form, and OLS
+t-ratios from the normal equations in exact rational arithmetic.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import linalg, signal, stats
@@ -101,6 +105,37 @@ def ols_tstat(y: np.ndarray, x: np.ndarray, col: int) -> float:
     s2 = float(resid @ resid) / dof
     cov = s2 * np.linalg.inv(x.T @ x)
     return float(beta[col] / np.sqrt(cov[col, col]))
+
+
+def ols_tstat_exact(y: np.ndarray, x: np.ndarray, col: int) -> float:
+    """t-ratio of one OLS coefficient from the normal equations in exact rationals.
+
+    Every float input is converted to a ``Fraction`` without rounding, X'X is
+    solved by Gauss-Jordan elimination in rationals, and only the final
+    square root is taken in floating point.
+    """
+    X = [[Fraction(float(v)) for v in row] for row in np.asarray(x, dtype=float)]
+    Y = [Fraction(float(v)) for v in np.asarray(y, dtype=float)]
+    k = len(X[0])
+    xty = [sum(row[i] * yv for row, yv in zip(X, Y)) for i in range(k)]
+    # augmented [X'X | X'y | e_col]: its solution holds beta and column col of (X'X)^-1
+    aug = [
+        [sum(row[i] * row[j] for row in X) for j in range(k)] + [xty[i], Fraction(int(i == col))]
+        for i in range(k)
+    ]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        lead = aug[c][c]
+        aug[c] = [v / lead for v in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    beta = [aug[i][k] for i in range(k)]
+    ssr = sum(v * v for v in Y) - sum(b * v for b, v in zip(beta, xty))
+    t2 = beta[col] ** 2 * (len(Y) - k) / (ssr * aug[col][k + 1])
+    return math.copysign(math.sqrt(float(t2)), beta[col])
 
 
 def kalman_loglik(ar, ma, mean: float, sigma2: float, y: np.ndarray) -> tuple[float, np.ndarray]:

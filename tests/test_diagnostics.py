@@ -154,6 +154,24 @@ def oracle_adf_design(x: np.ndarray, lag: int, regression: str):
     return np.asarray(y), np.asarray(rows)
 
 
+NTREND = {"n": 0, "c": 1, "ct": 2}
+
+
+def lstsq_lag_choice(x: np.ndarray, max_lag: int, regression: str) -> int:
+    """AIC lag choice with one lstsq fit per candidate on the common trimmed sample."""
+    y, X = oracle_adf_design(x, max_lag, regression)
+    m = y.size
+    deterministics = list(range(max_lag + 1, X.shape[1]))
+    aics = []
+    for k in range(max_lag + 1):
+        keep = list(range(k + 1)) + deterministics
+        beta, _, _, _ = np.linalg.lstsq(X[:, keep], y, rcond=None)
+        ssr = float(np.sum((y - X[:, keep] @ beta) ** 2))
+        llf = -m / 2.0 * (np.log(2 * np.pi) + np.log(ssr / m) + 1.0)
+        aics.append(-2 * llf + 2 * len(keep))
+    return int(np.argmin(aics))
+
+
 class TestAdf:
     def test_statistic_matches_ols_oracle(self):
         x = random_walk(80, seed=7)
@@ -166,19 +184,35 @@ class TestAdf:
 
     def test_lag_selection_matches_aic_oracle(self):
         x = random_walk(120, seed=8)
-        max_lag = 6
-        res = adf_test(make_series(x), regression="c", max_lag=max_lag)
-        aics = []
-        for k in range(max_lag + 1):
-            # common sample: always trim max_lag rows regardless of k
-            y, X = oracle_adf_design(x, max_lag, "c")
-            keep = list(range(k + 1)) + [max_lag + 1]
-            beta, _, _, _ = np.linalg.lstsq(X[:, keep], y, rcond=None)
-            ssr = float(np.sum((y - X[:, keep] @ beta) ** 2))
-            m = y.size
-            llf = -m / 2.0 * (np.log(2 * np.pi) + np.log(ssr / m) + 1.0)
-            aics.append(-2 * llf + 2 * (k + 2))
-        assert res.used_lags == int(np.argmin(aics))
+        res = adf_test(make_series(x), regression="c", max_lag=6)
+        assert res.used_lags == lstsq_lag_choice(x, 6, "c")
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    def test_short_series_sweep_matches_exact_oracle(self, regression, d):
+        # a 4000-level random walk, as in the demand data: its level column
+        # makes X'X ill-conditioned, and hard_cap binds for the shortest
+        for n in (20, 23, 26, 29, 41, 57, 80):
+            x = np.diff(4000.0 + random_walk(n + d, seed=n), d)
+            for max_lag in (None, 0):
+                res = adf_test(make_series(x), regression=regression, max_lag=max_lag)
+                cap = min(default_max_lag(n) if max_lag is None else max_lag,
+                          max((n - 1) // 2 - NTREND[regression] - 2, 0))
+                assert res.used_lags == lstsq_lag_choice(x, cap, regression), (n, max_lag)
+                y, X = oracle_adf_design(x, res.used_lags, regression)
+                assert res.n_effective == y.size
+                want = _oracles.ols_tstat_exact(y, X, col=0)
+                assert res.statistic == pytest.approx(want, rel=1e-9, abs=0.0), (n, max_lag)
+
+    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    @pytest.mark.parametrize(
+        "x",
+        [np.arange(60.0), (-1.0) ** np.arange(60), np.r_[np.zeros(5), np.ones(55)]],
+        ids=["linear-trend", "period-2", "single-step"],
+    )
+    def test_degenerate_design_is_a_numerical_error(self, x, regression):
+        with pytest.raises(NumericalError, match="singular regression matrix"):
+            adf_test(make_series(x), regression=regression)
 
     def test_stationary_series_rejects(self):
         series = simulate(SarimaSpec(1, 0, 0), SarimaParams(ar=(0.5,)), n=500, seed=9)

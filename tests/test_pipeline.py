@@ -1,5 +1,7 @@
+import csv
 import datetime as dt
 import io
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from demandcast import (
 from demandcast.pipeline import (
     STRATEGY_LABELS,
     STRATEGY_ORDER,
+    _classify_column,
+    _parse_date,
     missing_dates,
     write_bundle_csv,
 )
@@ -32,6 +36,67 @@ FULL_HEADER = (
 
 def csv_bytes(*rows: str) -> bytes:
     return ("\n".join(rows) + "\n").encode()
+
+
+def strptime_date(cell: str) -> dt.date | None:
+    """Date cell by ``strptime`` alone, the parser's defining formats."""
+    for fmt in ("%d/%m/%Y", "%Y-%m-%d"):
+        try:
+            return dt.datetime.strptime(cell.strip(), fmt).date()
+        except ValueError:
+            continue
+    return None
+
+
+def date_like(day: int, month: int, year: int, fmt: str, sep: str, pad: str) -> str:
+    return pad + sep.join((fmt.format(day), fmt.format(month), f"{year:04d}")) + pad
+
+
+def reference_float(cell: str) -> float | None:
+    try:
+        v = float(cell.strip().replace(",", ""))
+    except ValueError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def reference_records(text: str) -> list[RawRecord]:
+    """Row-by-row reference parse of a well-formed export."""
+    header, *rows = list(csv.reader(io.StringIO(text)))
+    columns = [_classify_column(cell) for cell in header]
+    date_idx, demand_idx = columns.index("date"), columns.index("max_demand_mw")
+    records = []
+    for row in rows:
+        if not any(cell.strip() for cell in row):
+            continue
+        demand = reference_float(row[demand_idx])
+        extras = {}
+        for j, key in enumerate(columns):
+            if key is not None and j not in (date_idx, demand_idx) and j < len(row):
+                extras[key] = reference_float(row[j])
+        records.append(RawRecord(
+            date=strptime_date(row[date_idx]),
+            max_demand_mw=demand if demand is not None and demand > 0 else None,
+            extras=extras,
+        ))
+    return records
+
+
+def generated_export(n_days: int, seed: int) -> str:
+    """An 8-column DD/MM/YYYY export with empty, non-positive, non-finite,
+    thousands-separated and absent cells."""
+    rng = np.random.default_rng(seed)
+    lines = [FULL_HEADER]
+    start = dt.date(2013, 4, 1)
+    odd = ["", "0", "-3.5", "nan", "inf", "n/a", '"4,112.5"', " 3987 "]
+    for i in range(n_days):
+        if rng.random() < 0.01:
+            continue
+        cells = [f"{v:.2f}" for v in rng.normal(4000.0, 300.0, size=7)]
+        for j in np.flatnonzero(rng.random(7) < 0.02):
+            cells[j] = odd[rng.integers(len(odd))]
+        lines.append(",".join([(start + dt.timedelta(days=i)).strftime("%d/%m/%Y")] + cells))
+    return "\n".join(lines) + "\n"
 
 
 class TestParseRecords:
@@ -81,6 +146,48 @@ class TestParseRecords:
         data = csv_bytes("date,max demand", "2020-01-01,1", "not-a-date,2")
         with pytest.raises(DataError, match="row 3"):
             parse_records(data)
+
+    def test_single_digit_day_and_month(self):
+        data = csv_bytes("date,max demand", "1/2/2020,1")
+        assert parse_records(data)[0].date == dt.date(2020, 2, 1)
+
+    def test_whitespace_padded_date(self):
+        data = csv_bytes("date,max demand", "  05/03/2021 ,1", "\t2021-03-06\t,2")
+        assert [r.date for r in parse_records(data)] == [dt.date(2021, 3, 5), dt.date(2021, 3, 6)]
+
+    def test_impossible_calendar_date_is_fatal_with_row_number(self):
+        data = csv_bytes("date,max demand", "30/01/2020,1", "31/02/2020,2")
+        with pytest.raises(DataError, match=r"row 3: unparseable date '31/02/2020'"):
+            parse_records(data)
+
+    @pytest.mark.parametrize("cell", ["٠٥/٠٣/٢٠٢١", "０５/０３/２０２１", "05/03/２０２１", "²5/03/2021"])
+    def test_non_ascii_digits_follow_strptime(self, cell):
+        assert _parse_date(cell) == strptime_date(cell)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.dates().map(lambda d: f"{d.day:02d}/{d.month:02d}/{d.year:04d}"),
+            st.builds(
+                date_like,
+                st.integers(0, 40), st.integers(0, 14), st.integers(0, 10000),
+                st.sampled_from(["{:02d}", "{:d}", "{:03d}"]), st.sampled_from(["/", "-", "."]),
+                st.sampled_from(["", " ", "\t", "\u00a0"]),
+            ),
+            st.text(alphabet="0123456789/- ٠٣", max_size=12),
+        )
+    )
+    def test_date_parse_matches_strptime(self, cell):
+        assert _parse_date(cell) == strptime_date(cell)
+
+    def test_fixture_matches_reference_parse(self, fixture_path):
+        assert parse_records(fixture_path) == reference_records(fixture_path.read_text("utf-8-sig"))
+
+    def test_long_generated_export_matches_reference_parse(self):
+        text = generated_export(3713, seed=4)
+        records = parse_records(text.encode())
+        assert len(records) > 3600
+        assert records == reference_records(text)
 
     @pytest.mark.parametrize("cell", ["", "abc", "0", "-5", "inf", "nan"])
     def test_bad_demand_becomes_absent(self, cell):
