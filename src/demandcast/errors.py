@@ -22,4 +22,4 @@ class InsufficientDataError(DemandcastError):
 
 
 class NumericalError(DemandcastError):
-    """Numerical failure: singular systems, filter blow-up, non-convergence."""
+    """Numerical failure: singular systems, indefinite covariances, non-convergence."""

@@ -1,12 +1,15 @@
-"""Maximum-likelihood SARIMA estimation through a Kalman-filter likelihood.
+"""Maximum-likelihood SARIMA estimation through the exact Gaussian likelihood.
 
 Model: multiplicative seasonal ARIMA (p,d,q)(P,D,Q,s).  The differenced
-series is demeaned by the intercept (stored as the process mean), the
-seasonal and regular lag polynomials are expanded into a single ARMA, and
-that ARMA is put in companion state-space form.  The exact Gaussian
-likelihood comes from the innovations produced by a Kalman filter started at
-the stationary state covariance; the innovation variance is profiled out in
-closed form so the optimizer only searches the ARMA coefficients.
+series is demeaned by the intercept (stored as the process mean) and the
+seasonal and regular lag polynomials are expanded into a single ARMA.
+Ansley's transform (Biometrika 1979) replaces every value from the p-th on
+by its MA part, which makes the covariance banded; one banded Cholesky
+factorisation of it gives the exact one-step innovations and their
+variances, with no recursion over time, and the same factor extended past
+the data gives the conditional-mean forecasts (Brockwell & Davis 1991,
+5.3).  The innovation variance is profiled out in closed form so the
+optimizer only searches the ARMA coefficients.
 
 Optimization runs in an unconstrained space: each coefficient block is
 parameterized by partial autocorrelations kappa = (1 - KAPPA_MARGIN) tanh(z).
@@ -30,12 +33,12 @@ import scipy  # submodules load on first use, so importing the package skips the
 from .errors import DataError, InsufficientDataError, NumericalError, SpecError
 from .series import DifferenceSpec, TimeSeries, difference, dropped_initials, integrate
 
-# the filter is plain NumPy/SciPy; the flag stays because the benchmark's
+# the likelihood is plain NumPy/SciPy; the flag stays because the benchmark's
 # environment stamp (perfbench/run.py) still records it
 HAVE_NUMBA = False
 
-# expanded lag-polynomial degree cap; beyond this the state dimension makes
-# the filter and the Lyapunov solve impractically slow
+# expanded lag-polynomial degree cap; beyond this the band width makes the
+# factorisation and the Lyapunov solve impractically slow
 MAX_EXPANDED_ORDER = 70
 
 FIT_FORMAT = "demandcast-fit"
@@ -265,128 +268,7 @@ def _admissible_polynomials(spec: SarimaSpec, params: SarimaParams) -> tuple[np.
 
 
 # ---------------------------------------------------------------------------
-# Kalman filter core
-
-
-# The Chandrasekhar start-up sums f and K from P0 onwards, so it loses about
-# eps * max|P0| absolutely (f >= 1).  Larger P0, from near-unit autoregressive
-# roots, goes to the dense Riccati recursion, whose rounding errors are damped
-# at each update: for an AR(2) with a double root 1e-5 from 1 (max|P0| 2.5e9)
-# the Chandrasekhar log-likelihood was off by 1.4e-6 relative, the Riccati one
-# by 8e-15.  Below the threshold the Chandrasekhar start-up is kept for speed:
-# an r=42 pass takes less than half the time of a dense start-up.
-CHANDRASEKHAR_MAX_SCALE = 1e4
-
-
-def _chandrasekhar_startup(y, tcol, p0, tol, v, f, a):
-    """Start-up by the Chandrasekhar recursions (Morf, Sidhu & Kailath 1974).
-
-    From a stationary start the covariance increment dP = P' - P stays rank
-    one, dP = M w w', so each step costs O(r).  Fills v, f and the padded
-    predicted state a in place until max|dP| < tol or the data end; returns
-    (steps taken, f, T P e1) after the last step.
-    """
-    w = np.zeros(a.size)
-    F = float(p0[0, 0])
-    if not 0.0 < F < math.inf:
-        raise NumericalError("stationary covariance has no positive first variance")
-    K = tcol * F + np.append(p0[1:, 0], 0.0)  # T P e1
-    w[:-1] = K
-    M = -1.0 / F
-    t = 0
-    while t < y.size:
-        a0 = a[0]
-        vt = float(y[t]) - a0
-        v[t] = vt
-        f[t] = F
-        a[:-1] = a[1:] + tcol * a0 + K * (vt / F)
-        w0 = w[0]
-        wmax = float(np.abs(w).max())
-        t += 1
-        Tw = w[1:] + tcol * w0
-        F_new = F + M * w0 * w0
-        if not 0.0 < F_new < math.inf:
-            raise NumericalError(f"innovation variance left (0, inf) at step {t}")
-        K = K + Tw * (M * w0)
-        steady = abs(M) * wmax * wmax < tol
-        M = M + M * M * w0 * w0 / F
-        F = F_new
-        w[:-1] = Tw - K * (w0 / F)
-        if steady:
-            break
-    return t, F, K
-
-
-def _riccati_startup(y, tcol, rvec, p0, tol, v, f, a):
-    """Start-up by the dense Riccati recursion, O(r^2) per step.
-
-    Same contract as :func:`_chandrasekhar_startup`; the switch comes when
-    max|P' - P| < tol.
-    """
-    r = tcol.size
-    P = np.zeros((r + 1, r + 1))  # padded like a: row and column r stay zero
-    P[:r, :r] = p0
-    Q = np.outer(rvec, rvec)
-    t = 0
-    while t < y.size:
-        F = P[0, 0]
-        if not 0.0 < F < math.inf:
-            raise NumericalError(f"innovation variance left (0, inf) at step {t}")
-        vt = float(y[t]) - a[0]
-        v[t] = vt
-        f[t] = F
-        gain = P[:, 0] / F
-        af = a + gain * vt
-        a[:-1] = af[1:] + tcol * af[0]
-        t += 1
-        Pf = P - np.outer(P[:, 0], gain)
-        TPf = Pf[1:, :] + np.outer(tcol, Pf[0, :])
-        P_new = TPf[:, 1:] + np.outer(TPf[:, 0], tcol) + Q
-        steady = float(np.abs(P_new - P[:r, :r]).max()) < tol
-        P[:r, :r] = P_new
-        if steady:
-            break
-    F = P[0, 0]
-    return t, F, tcol * F + P[1:, 0]
-
-
-def _kf_core(y: np.ndarray, tcol: np.ndarray, rvec: np.ndarray, p0: np.ndarray):
-    """Innovations filter for a companion-form ARMA state space.
-
-    tcol holds the first column of the transition matrix T (expanded AR
-    coefficients, zero padded), rvec the shock loading [1, ma...] and p0 the
-    stationary state covariance; the filter runs at unit innovation variance
-    and observes the first state.  Returns (v, f, predicted state after the
-    last observation, switch step); the switch step is n when the filter
-    never reached steady state.
-
-    Once the predicted covariance stops changing the gain is frozen and the
-    filter is linear time-invariant: one ``lfilter`` call in transposed
-    direct form II, whose state is the predicted state, yields every
-    remaining prediction.
-    """
-    n = y.size
-    v = np.empty(n)
-    f = np.empty(n)
-    # trailing zero: a[1:] is the companion shift of a[:-1]
-    a = np.zeros(tcol.size + 1)
-    scale = float(np.abs(p0).max())
-    tol = 1e-11 * (1.0 + scale)
-    if scale <= CHANDRASEKHAR_MAX_SCALE:
-        switch, F, K = _chandrasekhar_startup(y, tcol, p0, tol, v, f, a)
-    else:
-        switch, F, K = _riccati_startup(y, tcol, rvec, p0, tol, v, f, a)
-    if switch == n:
-        return v, f, a[:-1], switch
-    if not 0.0 < F < math.inf:
-        raise NumericalError(f"innovation variance left (0, inf) at step {switch}")
-    gain = K / F
-    pred, a_end = scipy.signal.lfilter(
-        np.append(0.0, gain), np.append(1.0, gain - tcol), y[switch:], zi=a[:-1]
-    )
-    v[switch:] = y[switch:] - pred
-    f[switch:] = F
-    return v, f, a_end, switch
+# exact innovations by Ansley's transform
 
 
 def _companion_matrix(tcol: np.ndarray) -> np.ndarray:
@@ -409,9 +291,10 @@ def _state_space(ar_rec: np.ndarray, ma_rec: np.ndarray) -> tuple[np.ndarray, np
 
 
 # refinement passes of the stationary covariance, until its residual is below
-# LYAPUNOV_RTOL * max|P0|: either start-up takes P0 as exactly stationary, so
-# a residual acts as an error in the shock covariance (a seasonal AR root at
-# -0.9999 left the log-likelihood ~3e-9 relative off without refinement)
+# LYAPUNOV_RTOL * max|P0|: the autocovariances of the first p values are read
+# from P0, so a residual acts as an error in the shock covariance (a seasonal
+# AR root at -0.99999 left the log-likelihood 2.6e-9 relative off without
+# refinement)
 LYAPUNOV_RTOL = 1e-14
 LYAPUNOV_REFINEMENTS = 3
 
@@ -442,14 +325,71 @@ def _stationary_state_cov(tcol: np.ndarray, rvec: np.ndarray) -> np.ndarray:
     return P0
 
 
-def _innovations(w: np.ndarray, ar_rec: np.ndarray, ma_rec: np.ndarray):
-    """Run the unit-variance filter; returns (v, f, predicted state, tcol)."""
+def _band_covariance(ar_rec: np.ndarray, ma_rec: np.ndarray, rows: int) -> np.ndarray:
+    """Covariance of Ansley's transform of the ARMA, in LAPACK lower band storage.
+
+    With p = len(ar_rec) and q = len(ma_rec), z_t = w_t for t < p and
+    z_t = w_t - sum_i ar_i w_{t-i}, the MA part, after; unit innovation
+    variance.  (Ansley 1979 starts the MA part at max(p, q); any start from p
+    on gives the same innovations, and starting at p needs no stationary
+    covariance for a pure MA.)  Entry (t, s), s <= t, is gamma(t - s) when
+    t < p, g_{t-s} = sum_{j >= t-s} theta_j psi_{j-t+s} when s < p <= t, and
+    the MA autocovariance c_{t-s} when p <= s; all vanish beyond
+    r - 1 = max(p - 1, q) sub-diagonals.  Row k of the result holds
+    sub-diagonal k: ``ab[k, s] = Cov(z_{s+k}, z_s)``.
+    """
+    p, q = ar_rec.size, ma_rec.size
     tcol, rvec = _state_space(ar_rec, ma_rec)
-    P0 = _stationary_state_cov(tcol, rvec)
-    v, f, a_pred, _ = _kf_core(w, tcol, rvec, P0)
-    if not np.isfinite(v).all():
-        raise NumericalError("Kalman filter produced non-finite innovations")
-    return v, f, a_pred, tcol
+    kd = tcol.size - 1
+    theta = np.append(1.0, ma_rec)
+    ab = np.zeros((kd + 1, rows), order="F")
+    ab[: q + 1] = np.convolve(theta, theta[::-1])[q:, None]
+    if p:
+        # gamma(k) = (T^k P0)[0, 0] from the refined stationary covariance: a
+        # Yule-Walker solve for gamma loses digits next to a double unit root
+        gamma = np.zeros(kd + 1)
+        x = np.zeros(kd + 2)  # trailing zero: x[1:] is the companion shift of x[:-1]
+        x[:-1] = _stationary_state_cov(tcol, rvec)[:, 0]
+        for k in range(p):
+            gamma[k] = x[0]
+            x[:-1] = x[1:] + tcol * x[0]
+        psi = scipy.signal.lfilter(theta, np.append(1.0, -ar_rec), np.eye(1, q + 1)[0])
+        g = np.zeros(kd + 1)
+        g[: q + 1] = np.convolve(theta, psi[::-1])[q:]
+        both_below_p = np.arange(kd + 1)[:, None] + np.arange(p) < p
+        ab[:, :p] = np.where(both_below_p, gamma[:, None], g[:, None])
+    return ab
+
+
+def _whiten(w: np.ndarray, ar_rec: np.ndarray, ma_rec: np.ndarray, extra: int = 0):
+    """Band Cholesky factor C of Cov(z) over ``len(w) + extra`` rows, and u with C u = z.
+
+    z is Ansley's transform of w (see :func:`_band_covariance`); u solves the
+    leading ``len(w)`` rows, and the ``extra`` rows of C carry the
+    covariance of z beyond the data, for forecasting.
+    """
+    n, p = w.size, ar_rec.size
+    z = np.convolve(w, np.append(1.0, -ar_rec))[:n]
+    z[:p] = w[:p]
+    ab = _band_covariance(ar_rec, ma_rec, n + extra)
+    c, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise NumericalError(f"covariance of the series is not positive definite (LAPACK info {info})")
+    u, info = scipy.linalg.lapack.dtbtrs(c[:, :n], z[:, None], uplo="L")
+    if info != 0 or not np.isfinite(u).all():
+        raise NumericalError("triangular solve for the innovations failed")
+    return c, u[:, 0]
+
+
+def _innovations(w: np.ndarray, ar_rec: np.ndarray, ma_rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact one-step innovations v and their variances f at unit innovation variance.
+
+    z differs from w by a combination of past values only, so the one-step
+    prediction errors of z are those of w: v = u * diag(C), f = diag(C)^2.
+    """
+    c, u = _whiten(w, ar_rec, ma_rec)
+    d = c[0]
+    return u * d, d * d
 
 
 def _concentrated_loglik(v: np.ndarray, f: np.ndarray) -> tuple[float, float]:
@@ -483,7 +423,7 @@ def log_likelihood(spec: SarimaSpec, params: SarimaParams, series: TimeSeries) -
     w = _prepare(series, spec)
     ar_rec, ma_rec = _admissible_polynomials(spec, params)
     wc = w - params.mean
-    v, f, _, _ = _innovations(wc, ar_rec, ma_rec)
+    v, f = _innovations(wc, ar_rec, ma_rec)
     s2 = params.sigma2
     n = v.size
     return float(
@@ -753,7 +693,7 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
             blocks = _z_to_blocks(z, spec)
             params = _params_from_blocks(blocks, 0.0, 1.0)
             ar_rec, ma_rec = expand_polynomials(spec, params)
-            v, f, _, _ = _innovations(wc, ar_rec, ma_rec)
+            v, f = _innovations(wc, ar_rec, ma_rec)
             ll, _ = _concentrated_loglik(v, f)
         except (NumericalError, FloatingPointError):
             return np.inf
@@ -790,7 +730,7 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
     blocks = _z_to_blocks(z_best, spec)
     probe = _params_from_blocks(blocks, 0.0, 1.0)
     ar_rec, ma_rec = _admissible_polynomials(spec, probe)
-    v, f, _, _ = _innovations(wc, ar_rec, ma_rec)
+    v, f = _innovations(wc, ar_rec, ma_rec)
     loglik, sigma2 = _concentrated_loglik(v, f)
     params = _params_from_blocks(blocks, mu, sigma2)
     k = spec.k_params
@@ -838,7 +778,7 @@ def forecast(
     """Dynamic forecasts from the end of ``series`` under the fitted model.
 
     ``series`` should be the training series or an extension of it; the
-    filter is re-run, so any gap-free continuation is accepted.  Interval
+    factorisation is redone, so any gap-free continuation is accepted.  Interval
     width comes from the MA-infinity representation, hence it is
     non-decreasing in the horizon.
     """
@@ -851,10 +791,20 @@ def forecast(
     w = _prepare(series, spec)
     wc = w - params.mean
     ar_rec, ma_rec = _admissible_polynomials(spec, params)
-    _, _, a_pred, tcol = _innovations(wc, ar_rec, ma_rec)
-    # zero-input run of the companion recursion a <- T a, reading a[0]
-    m, _ = scipy.signal.lfilter([0.0], np.append(1.0, -tcol), np.zeros(horizon), zi=a_pred)
-    w_hat = m + params.mean
+    n, q = wc.size, ma_rec.size
+    ahead = min(horizon, q)
+    c, u = _whiten(wc, ar_rec, ma_rec, extra=ahead)
+    # E[z_{n+h} | w] = sum_{s<n} C[n+h, s] u_s (Brockwell & Davis 1991, 5.3);
+    # C[s+k, s] = c[k, s] vanishes for k > q, so z_hat is zero from h = q on
+    h = np.arange(ahead)[:, None]
+    k = np.arange(1, q + 1)
+    s = np.minimum(n + h - k, n - 1)
+    z_hat = np.zeros(horizon)
+    z_hat[:ahead] = np.where(k > h, c[k, s] * u[s], 0.0).sum(axis=1)
+    # w_{n+h} = z_{n+h} + sum_i ar_i w_{n+h-i}, started from the last p values
+    a = np.append(1.0, -ar_rec)
+    zi = scipy.linalg.hankel(ar_rec) @ wc[::-1][: ar_rec.size]  # lfilter state from those values
+    w_hat = scipy.signal.lfilter([1.0], a, z_hat, zi=zi)[0] + params.mean
 
     diff = spec.diff_spec
     if diff.n_dropped:

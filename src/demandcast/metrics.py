@@ -1,7 +1,7 @@
 """Forecast-accuracy metrics.
 
 Train accuracy uses one-step-ahead in-sample predictions (actual minus the
-filter innovation), test accuracy uses a dynamic multi-step forecast over the
+one-step innovation), test accuracy uses a dynamic multi-step forecast over the
 full holdout; keeping the two regimes explicit avoids quietly comparing
 numbers that mean different things.
 """

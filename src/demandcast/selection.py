@@ -178,19 +178,22 @@ def evaluate_grid(
 ) -> RankedResults:
     """Fit every candidate on the train side and rank by holdout accuracy.
 
-    With ``jobs > 1`` candidates are fitted in parallel processes; results
+    With ``jobs > 1`` candidates are fitted in parallel processes, at most
+    one per candidate, and in this process when that leaves one; results
     are aggregated in submission order, so the ranking is identical either
     way.
     """
     train, test = split(series, split_spec)
     specs = list(candidates.specs)
-    if jobs > 1:
-        # forked workers inherit loaded modules: load the filter and optimizer
-        # stack once here rather than in every worker of every pool
+    workers = min(jobs, len(specs))
+    if workers > 1:
+        # forked workers inherit loaded modules: load the likelihood and
+        # optimizer stack once here rather than in every worker of every pool
+        import scipy.linalg  # noqa: F401
         import scipy.optimize  # noqa: F401
         import scipy.signal  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_evaluate_candidate, specs, [train] * len(specs),
                                  [test] * len(specs), [seed] * len(specs)))
     else:

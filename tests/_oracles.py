@@ -2,7 +2,8 @@
 
 Everything here is computed by a different route than the package uses:
 the joint Gaussian likelihood goes through an explicit Toeplitz covariance
-and scipy's multivariate normal, the partial autocorrelations through a
+and scipy's multivariate normal, conditional means through the same
+covariance and a dense solve, the partial autocorrelations through a
 direct solve of the Yule-Walker system, predictions through brute-force
 recursion on the ARMA difference equation, the reference Kalman filter
 through a Kronecker-product stationary covariance and a full covariance
@@ -73,6 +74,20 @@ def mvn_loglik(ar, ma, mean: float, sigma2: float, y: np.ndarray) -> float:
     return float(stats.multivariate_normal(mean=np.full(y.size, mean), cov=cov).logpdf(y))
 
 
+def conditional_mean(ar, ma, mean: float, sigma2: float, y: np.ndarray, horizon: int) -> np.ndarray:
+    """E[y_{n+h} | y_1..y_n], h = 1..horizon, under a stationary Gaussian ARMA.
+
+    The joint covariance of past and future is the explicit Toeplitz matrix
+    of the autocovariances; the past block is solved by LU, not Cholesky.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    gamma = arma_autocovariance(np.asarray(ar, float), np.asarray(ma, float), sigma2, n + horizon)
+    cov = linalg.toeplitz(gamma)
+    weights = np.linalg.solve(cov[:n, :n], y - mean)
+    return mean + cov[n:, :n] @ weights
+
+
 def sample_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Autocorrelations at lags 1..max_lag with the 1/n covariance denominator."""
     x = np.asarray(x, dtype=float)
@@ -138,8 +153,8 @@ def ols_tstat_exact(y: np.ndarray, x: np.ndarray, col: int) -> float:
     return math.copysign(math.sqrt(float(t2)), beta[col])
 
 
-def kalman_loglik(ar, ma, mean: float, sigma2: float, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Textbook dense Kalman filter: (log-likelihood, innovation variances).
+def kalman_loglik(ar, ma, mean: float, sigma2: float, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Textbook dense Kalman filter: (log-likelihood, innovation variances, innovations).
 
     Harvey's companion form with state dimension r = max(p, q + 1).  The
     initial covariance solves vec(P0) = (I - T kron T)^-1 vec(R R') directly,
@@ -160,15 +175,17 @@ def kalman_loglik(ar, ma, mean: float, sigma2: float, y: np.ndarray) -> tuple[fl
     a = np.zeros(r)
     ll = 0.0
     fs = np.empty(len(y))
+    vs = np.empty(len(y))
     for t, obs in enumerate(np.asarray(y, dtype=float) - mean):
         f = P[0, 0]
         v = obs - a[0]
         fs[t] = f
+        vs[t] = v
         ll -= 0.5 * (np.log(2.0 * np.pi * f) + v * v / f)
         gain = P[:, 0] / f
         a = T @ (a + gain * v)
         P = T @ (P - np.outer(gain, P[0, :])) @ T.T + Q
-    return float(ll), fs
+    return float(ll), fs, vs
 
 
 def ar2_loglik(ar, sigma2: float, y: np.ndarray) -> float:

@@ -25,7 +25,6 @@ from demandcast import (
     save_fit,
     simulate,
 )
-from demandcast import estimation
 from demandcast.estimation import (
     KAPPA_SCALE,
     MAX_EXPANDED_ORDER,
@@ -167,10 +166,10 @@ NEVER_STEADY_R8 = (
 
 
 def _filter_output(spec, params, series):
-    """Innovations and their variances from the library's filter."""
+    """Innovations and their variances from the library's likelihood kernel."""
     w = difference(series, spec.diff_spec).values if spec.diff_spec.n_dropped else series.values
     ar_rec, ma_rec = expand_polynomials(spec, params)
-    v, f, _, _ = _innovations(w - params.mean, ar_rec, ma_rec)
+    v, f = _innovations(w - params.mean, ar_rec, ma_rec)
     return w, v, f
 
 
@@ -262,29 +261,30 @@ class TestFilterKernel:
         spec, params = case
         series = simulate(spec, params, n=3713, seed=42)
         w, _, f = _filter_output(spec, params, series)
-        # the covariance still moves in the last two weeks: no LTI phase was used
+        # the innovation variance still moves in the last two weeks: a filter
+        # with a steady-state shortcut would never switch here
         assert np.ptp(f[-14:]) > 0
         ar_rec, ma_rec = expand_polynomials(spec, params)
-        want, f_dense = _oracles.kalman_loglik(ar_rec, ma_rec, params.mean, params.sigma2, w)
+        want, f_dense, _ = _oracles.kalman_loglik(ar_rec, ma_rec, params.mean, params.sigma2, w)
         np.testing.assert_allclose(f * params.sigma2, f_dense, rtol=1e-10)
         assert log_likelihood(spec, params, series) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("phi", [-0.9999, -0.99999])
     def test_seasonal_root_near_minus_one_matches_dense_filter(self, phi):
-        # the bilinear Lyapunov solve loses digits next to an eigenvalue -1;
-        # max|P0| is 5e3 and 5e4 here, one on each side of the start-up switch
+        # the bilinear Lyapunov solve loses digits next to an eigenvalue -1,
+        # and the first seven autocovariances are read from its solution
         spec = SarimaSpec(0, 0, 0, P=1, s=7)
         params = SarimaParams(mean=1.0, seasonal_ar=(phi,), sigma2=1.3)
         series = simulate(spec, params, n=300, seed=5)
         ar_rec, ma_rec = expand_polynomials(spec, params)
-        want, _ = _oracles.kalman_loglik(ar_rec, ma_rec, params.mean, params.sigma2, series.values)
+        want, _, _ = _oracles.kalman_loglik(ar_rec, ma_rec, params.mean, params.sigma2, series.values)
         assert log_likelihood(spec, params, series) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("margin", [5e-2, 1e-3, 1e-5, 1e-6])
     def test_double_unit_root_matches_closed_form(self, margin):
         # two autoregressive roots next to 1: the stationary covariance grows
-        # like 1/margin^2, past the scale where the Chandrasekhar start-up's
-        # running sums stay accurate, and the dense start-up takes over
+        # like 1/margin^2, and gamma0 - gamma1 is a tiny difference of two
+        # huge autocovariances that the factorisation must resolve
         ar = pacf_to_coeffs(np.array([1.0 - margin, -(1.0 - margin)]))
         spec = SarimaSpec(2, 0, 0, with_intercept=False)
         params = SarimaParams(ar=tuple(ar), sigma2=2.0)
@@ -295,21 +295,14 @@ class TestFilterKernel:
     @pytest.mark.parametrize(
         "case", [(ROLLING_SPEC, ROLLING_PARAMS), NEVER_STEADY_R8], ids=["rolling-r42", "never-steady-r8"]
     )
-    def test_start_up_recursions_agree(self, case, monkeypatch):
+    def test_innovations_match_dense_filter(self, case):
         spec, params = case
         series = simulate(spec, params, n=400, seed=46)
-        _, v, f = _filter_output(spec, params, series)
-        monkeypatch.setattr(estimation, "CHANDRASEKHAR_MAX_SCALE", -1.0)
-        _, v_dense, f_dense = _filter_output(spec, params, series)
-        np.testing.assert_allclose(f, f_dense, rtol=1e-12)
+        w, v, f = _filter_output(spec, params, series)
+        ar_rec, ma_rec = expand_polynomials(spec, params)
+        _, f_dense, v_dense = _oracles.kalman_loglik(ar_rec, ma_rec, params.mean, params.sigma2, w)
+        np.testing.assert_allclose(f * params.sigma2, f_dense, rtol=1e-12)
         np.testing.assert_allclose(v, v_dense, rtol=0, atol=1e-9 * np.abs(v).max())
-
-    def test_rolling_model_switches_to_steady_state(self):
-        series = simulate(ROLLING_SPEC, ROLLING_PARAMS, n=730, seed=43)
-        _, _, f = _filter_output(ROLLING_SPEC, ROLLING_PARAMS, series)
-        tail = f[-500:]
-        assert np.all(tail == tail[0])
-        assert f[0] > tail[0]
 
 
 # an optimizer coordinate where tanh is saturated: kappa = +-KAPPA_SCALE
@@ -512,6 +505,60 @@ class TestForecast:
     def test_default_cap_scales_with_season(self):
         assert default_horizon_cap(SarimaSpec(1, 0, 0)) == 365
         assert default_horizon_cap(SarimaSpec(0, 0, 0, D=1, s=200)) == 600
+
+
+def _oracle_forecast(spec, params, series, horizon):
+    """Conditional-mean forecast of the original series by an independent route.
+
+    The differenced values come from convolving with the differencing
+    polynomial, their conditional mean from the Toeplitz oracle, and the
+    original scale from the differencing recursion run forwards.
+    """
+    delta = np.array([1.0])
+    for _ in range(spec.d):
+        delta = np.convolve(delta, [1.0, -1.0])
+    for _ in range(spec.D):
+        delta = np.convolve(delta, np.r_[1.0, np.zeros(spec.s - 1), -1.0])
+    y = series.values
+    w = np.convolve(y, delta)[delta.size - 1: y.size]
+    ar_rec, ma_rec = expand_polynomials(spec, params)
+    w_hat = _oracles.conditional_mean(ar_rec, ma_rec, params.mean, params.sigma2, w, horizon)
+    out = list(y)
+    for value in w_hat:
+        out.append(value - float(delta[1:] @ np.asarray(out[: -delta.size: -1])))
+    return np.asarray(out[y.size:])
+
+
+class TestForecastOracle:
+    @pytest.mark.parametrize("horizon", [1, 14, 56])
+    @pytest.mark.parametrize(
+        "spec,params",
+        [
+            (SarimaSpec(2, 1, 1), SarimaParams(ar=(0.5, -0.3), ma=(0.4,), sigma2=1.1)),
+            NEVER_STEADY_R2,
+            (SarimaSpec(0, 0, 0, P=1, D=1, Q=1, s=7), SarimaParams(seasonal_ar=(0.5,), seasonal_ma=(-0.6,))),
+            (ROLLING_SPEC, ROLLING_PARAMS),
+        ],
+        ids=["arma21-d1", "near-unit-ma", "seasonal-d1", "rolling-r42"],
+    )
+    def test_matches_conditional_mean(self, spec, params, horizon):
+        sample = simulate(spec, params, n=150, seed=47)
+        series = TimeSeries(sample.start_date, sample.values + 100.0)
+        fc = forecast(make_fit(spec, params), series, horizon=horizon)
+        np.testing.assert_allclose(fc.point, _oracle_forecast(spec, params, series, horizon), rtol=1e-8)
+
+    @given(seed=st.integers(0, 2**16), p=st.integers(0, 3), q=st.integers(0, 3))
+    @settings(deadline=None, max_examples=25)
+    def test_random_arma_matches_joint_gaussian_oracles(self, seed, p, q):
+        ar, ma = _oracles.draw_arma_coeffs(np.random.default_rng(seed), p, q)
+        spec = SarimaSpec(p, 0, q)
+        params = SarimaParams(mean=50.0, ar=tuple(ar), ma=tuple(ma), sigma2=1.5)
+        series = simulate(spec, params, n=80, seed=seed)
+        want = _oracles.mvn_loglik(ar, ma, params.mean, params.sigma2, series.values)
+        assert log_likelihood(spec, params, series) == pytest.approx(want, abs=1e-8)
+        fc = forecast(make_fit(spec, params), series, horizon=14)
+        want_points = _oracles.conditional_mean(ar, ma, params.mean, params.sigma2, series.values, 14)
+        np.testing.assert_allclose(fc.point, want_points, rtol=1e-8)
 
 
 class TestSimulate:

@@ -1,3 +1,6 @@
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from demandcast import (
     simulate,
     stepwise_search,
 )
+from demandcast import selection
 from demandcast.selection import ARIMA_TABLE_ORDERS, EvaluationRow, SARIMA_TABLE_ORDERS
 
 
@@ -139,6 +143,25 @@ class TestEvaluateGrid:
         serial = evaluate_grid(ar1_series, SplitSpec.by_count(60), self.candidates, jobs=1)
         parallel = evaluate_grid(ar1_series, SplitSpec.by_count(60), self.candidates, jobs=2)
         assert serial == parallel
+
+    def test_pool_is_sized_to_the_candidates(self, ar1_series, monkeypatch):
+        split_spec = SplitSpec.by_count(60)
+        one = CandidateSet(specs=(SarimaSpec(0, 1, 1),), source="explicit")
+        serial_one = evaluate_grid(ar1_series, split_spec, one, jobs=1)
+        serial_all = evaluate_grid(ar1_series, split_spec, self.candidates, jobs=1)
+        started = []
+
+        def recording_pool(max_workers):
+            started.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(selection, "ProcessPoolExecutor", recording_pool)
+        pooled_one = evaluate_grid(ar1_series, split_spec, one, jobs=8)
+        pooled_all = evaluate_grid(ar1_series, split_spec, self.candidates, jobs=8)
+        # one candidate runs in this process; three get three workers, not eight
+        assert started == [3]
+        assert pickle.dumps(pooled_one.rows) == pickle.dumps(serial_one.rows)
+        assert pickle.dumps(pooled_all.rows) == pickle.dumps(serial_all.rows)
 
     def test_infeasible_candidate_becomes_error_row(self):
         series = make_series(np.random.default_rng(40).normal(size=13) + 10.0)
