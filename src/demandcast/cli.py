@@ -13,15 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from ._version import VERSION
 from .diagnostics import (
     acf,
-    adf_test,
     overdifferencing_risk,
     pacf,
     recommend_differencing,
@@ -36,7 +33,6 @@ from .errors import (
 )
 from .estimation import (
     SarimaSpec,
-    default_horizon_cap,
     fit,
     forecast,
     load_fit,
@@ -53,10 +49,8 @@ from .evaluation import (
 from .metrics import dynamic_metrics, one_step_metrics
 from .pipeline import (
     ImputationStrategy,
-    STRATEGY_LABELS,
     STRATEGY_ORDER,
     assemble,
-    build_all,
     impute,
     missing_dates,
     parse_records,
@@ -419,22 +413,32 @@ def _print_table(report: StudyReport, fmt: str) -> None:
     sys.stdout.write(render_report(report, fmt).decode("utf-8"))
 
 
+def _stepwise_holdout(bundle, cfg: RunConfig):
+    """Stepwise search on the training side, then its winner evaluated on the split.
+
+    Returns (stepwise ranking, holdout results of the winner).
+    """
+    train, _ = split(bundle.series, cfg.split)
+    ranked = stepwise_search(train, StepwiseConfig(s=cfg.season), seed=cfg.seed)
+    best = ranked.best
+    if best is None:
+        raise NumericalError(f"stepwise search produced no usable candidate on {bundle.name}")
+    holdout = evaluate_grid(
+        bundle.series, cfg.split,
+        CandidateSet(specs=(best.spec,), source="stepwise", name="stepwise"),
+        seed=cfg.seed, jobs=cfg.jobs,
+    )
+    return ranked, holdout
+
+
 def cmd_search(cfg: RunConfig) -> int:
     bundle = _single_bundle(cfg)
     out = _ensure_out(cfg)
     grid_choice = cfg.grid or ("explicit" if cfg.specs else "stepwise")
     if grid_choice == "stepwise" and not cfg.specs:
-        train, test = split(bundle.series, cfg.split)
-        ranked = stepwise_search(train, StepwiseConfig(s=cfg.season), seed=cfg.seed)
+        ranked, holdout = _stepwise_holdout(bundle, cfg)
         table = StudyTable(dataset=bundle.name, grid="stepwise", results=ranked)
         best = ranked.best
-        if best is None:
-            raise NumericalError("stepwise search produced no usable candidate")
-        holdout = evaluate_grid(
-            bundle.series, cfg.split,
-            CandidateSet(specs=(best.spec,), source="stepwise", name="stepwise"),
-            seed=cfg.seed, jobs=cfg.jobs,
-        )
         print(f"stepwise winner on {bundle.name}: {best.spec.label()} (aic {best.aic:.3f})")
         row = holdout.rows[0]
         if not row.failed:
@@ -456,19 +460,11 @@ def cmd_report(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     if cfg.grid == "stepwise" and not cfg.specs:
         # one stepwise winner per dataset, evaluated on the common split
+        base = assemble(records)
         tables = []
         for strategy in _selected_strategies(cfg, "all"):
-            bundle = impute(assemble(records), strategy)
-            train, _ = split(bundle.series, cfg.split)
-            ranked = stepwise_search(train, StepwiseConfig(s=cfg.season), seed=cfg.seed)
-            best = ranked.best
-            if best is None:
-                raise NumericalError(f"stepwise search failed on {bundle.name}")
-            holdout = evaluate_grid(
-                bundle.series, cfg.split,
-                CandidateSet(specs=(best.spec,), source="stepwise", name="stepwise"),
-                seed=cfg.seed, jobs=cfg.jobs,
-            )
+            bundle = impute(base, strategy)
+            _, holdout = _stepwise_holdout(bundle, cfg)
             tables.append(StudyTable(dataset=bundle.name, grid="stepwise", results=holdout))
         report = StudyReport(tables=tuple(tables), split=cfg.split, seed=cfg.seed)
     else:

@@ -178,15 +178,8 @@ def adf_test(series: TimeSeries, regression: str = "c", max_lag: int | None = No
     )
 
 
-def acf(series: TimeSeries, max_lag: int) -> CorrelogramResult:
-    """Sample autocorrelations for lags 1..max_lag with the 1/n denominator.
-
-    The biased normalisation keeps |value| <= 1 at every lag.
-    """
-    x = series.require_complete("autocorrelation")
-    n = x.size
-    if not 1 <= max_lag < n:
-        raise SpecError(f"max_lag must be in 1..{n - 1}, got {max_lag}")
+def _acf_values(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Sample autocorrelations of ``x`` for lags 1..max_lag with the 1/n denominator."""
     xd = x - x.mean()
     denom = float(xd @ xd)
     if denom == 0.0:
@@ -194,15 +187,12 @@ def acf(series: TimeSeries, max_lag: int) -> CorrelogramResult:
     vals = np.empty(max_lag)
     for k in range(1, max_lag + 1):
         vals[k - 1] = float(xd[:-k] @ xd[k:]) / denom
-    return CorrelogramResult(kind="acf", values=vals, band=1.96 / np.sqrt(n))
+    return vals
 
 
-def pacf(series: TimeSeries, max_lag: int) -> CorrelogramResult:
-    """Partial autocorrelations via the Durbin-Levinson recursion on the sample ACF."""
-    n = len(series)
-    if not 1 <= max_lag <= n // 2:
-        raise SpecError(f"max_lag must be in 1..n/2 = {n // 2}, got {max_lag}")
-    rho = acf(series, max_lag).values
+def _pacf_values(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Partial autocorrelations of ``x`` for lags 1..max_lag: Durbin-Levinson on its sample ACF."""
+    rho = _acf_values(x, max_lag)
     pac = np.empty(max_lag)
     a = np.zeros(max_lag)
     v = 1.0
@@ -221,7 +211,28 @@ def pacf(series: TimeSeries, max_lag: int) -> CorrelogramResult:
         a[: k - 1] = a[: k - 1] - kappa * a[: k - 1][::-1]
         a[k - 1] = kappa
         pac[k - 1] = kappa
-    return CorrelogramResult(kind="pacf", values=pac, band=1.96 / np.sqrt(len(series)))
+    return pac
+
+
+def acf(series: TimeSeries, max_lag: int) -> CorrelogramResult:
+    """Sample autocorrelations for lags 1..max_lag with the 1/n denominator.
+
+    The biased normalisation keeps |value| <= 1 at every lag.
+    """
+    x = series.require_complete("autocorrelation")
+    n = x.size
+    if not 1 <= max_lag < n:
+        raise SpecError(f"max_lag must be in 1..{n - 1}, got {max_lag}")
+    return CorrelogramResult(kind="acf", values=_acf_values(x, max_lag), band=1.96 / np.sqrt(n))
+
+
+def pacf(series: TimeSeries, max_lag: int) -> CorrelogramResult:
+    """Partial autocorrelations via the Durbin-Levinson recursion on the sample ACF."""
+    n = len(series)
+    if not 1 <= max_lag <= n // 2:
+        raise SpecError(f"max_lag must be in 1..n/2 = {n // 2}, got {max_lag}")
+    x = series.require_complete("autocorrelation")
+    return CorrelogramResult(kind="pacf", values=_pacf_values(x, max_lag), band=1.96 / np.sqrt(n))
 
 
 def unit_root_profile(

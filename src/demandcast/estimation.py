@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import scipy  # submodules load on first use, so importing the package skips them
 
+from .diagnostics import _pacf_values
 from .errors import DataError, InsufficientDataError, NumericalError, SpecError
 from .series import DifferenceSpec, TimeSeries, difference, dropped_initials, integrate
 
@@ -227,6 +228,28 @@ def coeffs_to_pacf(coeffs: np.ndarray) -> np.ndarray:
         prev = a[:j]
         a = (prev + kj * prev[::-1]) / (1.0 - kj * kj)
     return kappa
+
+
+# optimizer coordinates z map to partial autocorrelations KAPPA_SCALE * tanh(z):
+# tanh saturates to exactly +-1 in floating point, and the scale keeps
+# |kappa| <= 1 - KAPPA_MARGIN there, so a fitted root stays strictly off the
+# unit circle
+KAPPA_MARGIN = 1e-6
+KAPPA_SCALE = 1.0 - KAPPA_MARGIN
+
+
+def _z_to_params(z: np.ndarray, spec: SarimaSpec, mean: float = 0.0, sigma2: float = 1.0) -> SarimaParams:
+    """Parameters at optimizer coordinates z, ordered ar, ma, seasonal_ar, seasonal_ma."""
+    blocks = []
+    pos = 0
+    for size, is_ma in ((spec.p, False), (spec.q, True), (spec.P, False), (spec.Q, True)):
+        coeffs = pacf_to_coeffs(KAPPA_SCALE * np.tanh(z[pos: pos + size]))
+        blocks.append(tuple(-coeffs if is_ma else coeffs))
+        pos += size
+    ar, ma, seasonal_ar, seasonal_ma = blocks
+    return SarimaParams(
+        mean=mean, ar=ar, ma=ma, seasonal_ar=seasonal_ar, seasonal_ma=seasonal_ma, sigma2=sigma2
+    )
 
 
 def _block_admissible(coeffs: tuple[float, ...], is_ma: bool) -> bool:
@@ -483,30 +506,12 @@ class Forecast:
 # starting values
 
 
-def _ar_fit_yw(x: np.ndarray, order: int) -> np.ndarray:
-    """Yule-Walker AR coefficients via Durbin-Levinson on the biased ACF."""
-    xd = x - x.mean()
-    denom = float(xd @ xd)
-    if denom <= 0.0:
-        raise NumericalError("degenerate variance in long-AR fit")
-    rho = np.empty(order)
-    for k in range(1, order + 1):
-        rho[k - 1] = float(xd[:-k] @ xd[k:]) / denom
-    a = np.zeros(order)
-    v = 1.0
-    for k in range(1, order + 1):
-        num = rho[k - 1] - (a[: k - 1] @ rho[: k - 1][::-1] if k > 1 else 0.0)
-        kappa = num / v
-        if not np.isfinite(kappa) or abs(kappa) >= 1.0:
-            raise NumericalError("long-AR fit left the stationary region")
-        v *= 1.0 - kappa * kappa
-        a[: k - 1] = a[: k - 1] - kappa * a[: k - 1][::-1]
-        a[k - 1] = kappa
-    return a
-
-
 def _shrink_into_region(coeffs: np.ndarray, is_ma: bool) -> np.ndarray | None:
-    """Scale roots outward (coeff_i *= lam^i) until the block is admissible."""
+    """Scale roots outward (coeff_i *= lam^i) until the block is admissible.
+
+    Returns the partial autocorrelations of the scaled block, each inside
+    (-0.98, 0.98), or None when no scaling admits it.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     if not np.isfinite(coeffs).all():
         return None
@@ -517,22 +522,15 @@ def _shrink_into_region(coeffs: np.ndarray, is_ma: bool) -> np.ndarray | None:
         except NumericalError:
             continue
         if np.all(np.abs(kappa) < 0.98):
-            return scaled
+            return kappa
     return None
 
 
-def _hannan_rissanen_start(wc: np.ndarray, spec: SarimaSpec) -> dict[str, np.ndarray]:
-    """Regression-based starting coefficients; falls back to zeros per block."""
-    zeros = {
-        "ar": np.zeros(spec.p),
-        "ma": np.zeros(spec.q),
-        "seasonal_ar": np.zeros(spec.P),
-        "seasonal_ma": np.zeros(spec.Q),
-    }
+def _hannan_rissanen_start(wc: np.ndarray, spec: SarimaSpec) -> np.ndarray:
+    """Regression-based start coordinates z0 (see :func:`_z_to_params`); zeros if any step fails."""
+    zeros = np.zeros(spec.p + spec.q + spec.P + spec.Q)
     ar_lags = list(range(1, spec.p + 1)) + [spec.s * i for i in range(1, spec.P + 1)]
     ma_lags = list(range(1, spec.q + 1)) + [spec.s * i for i in range(1, spec.Q + 1)]
-    if not ar_lags and not ma_lags:
-        return zeros
     n = wc.size
     max_lag = max(ar_lags + ma_lags)
     resid = None
@@ -542,8 +540,8 @@ def _hannan_rissanen_start(wc: np.ndarray, spec: SarimaSpec) -> dict[str, np.nda
         if long_order < 1 or n - long_order < 20:
             return zeros
         try:
-            a_long = _ar_fit_yw(wc, long_order)
-        except NumericalError:
+            a_long = pacf_to_coeffs(_pacf_values(wc, long_order))
+        except (DataError, NumericalError):
             return zeros
         resid = np.zeros(n)
         for t in range(long_order, n):
@@ -561,74 +559,21 @@ def _hannan_rissanen_start(wc: np.ndarray, spec: SarimaSpec) -> dict[str, np.nda
         return zeros
     if rank < X.shape[1] or not np.isfinite(beta).all():
         return zeros
-    out = {
-        "ar": beta[: spec.p],
-        "seasonal_ar": beta[spec.p: spec.p + spec.P],
-        "ma": beta[spec.p + spec.P: spec.p + spec.P + spec.q],
-        "seasonal_ma": beta[spec.p + spec.P + spec.q:],
-    }
-    for key, is_ma in (("ar", False), ("seasonal_ar", False), ("ma", True), ("seasonal_ma", True)):
-        if out[key].size == 0:
-            continue
-        shrunk = _shrink_into_region(out[key], is_ma)
-        if shrunk is None:
+    # beta holds ar, seasonal_ar, ma, seasonal_ma; z orders the blocks as _z_to_params reads them
+    p, P, q = spec.p, spec.P, spec.q
+    zs = []
+    for coeffs, is_ma in (
+        (beta[:p], False), (beta[p + P: p + P + q], True), (beta[p: p + P], False), (beta[p + P + q:], True)
+    ):
+        kappa = _shrink_into_region(coeffs, is_ma)
+        if kappa is None:
             return zeros
-        out[key] = shrunk
-    return out
+        zs.append(np.arctanh(kappa / KAPPA_SCALE))
+    return np.concatenate(zs)
 
 
 # ---------------------------------------------------------------------------
 # fitting
-
-
-# optimizer coordinates z map to partial autocorrelations KAPPA_SCALE * tanh(z):
-# tanh saturates to exactly +-1 in floating point, and the scale keeps
-# |kappa| <= 1 - KAPPA_MARGIN there, so a fitted root stays strictly off the
-# unit circle
-KAPPA_MARGIN = 1e-6
-KAPPA_SCALE = 1.0 - KAPPA_MARGIN
-
-
-def _blocks_to_z(blocks: dict[str, np.ndarray]) -> np.ndarray:
-    """Unconstrained optimizer coordinates from per-block coefficients."""
-    zs = []
-    for key, is_ma in (("ar", False), ("ma", True), ("seasonal_ar", False), ("seasonal_ma", True)):
-        coeffs = np.asarray(blocks[key], dtype=float)
-        if coeffs.size == 0:
-            continue
-        kappa = coeffs_to_pacf(-coeffs if is_ma else coeffs)
-        kappa = np.clip(kappa, -0.995, 0.995)
-        zs.append(np.arctanh(kappa / KAPPA_SCALE))
-    if not zs:
-        return np.empty(0)
-    return np.concatenate(zs)
-
-
-def _z_to_blocks(z: np.ndarray, spec: SarimaSpec) -> dict[str, np.ndarray]:
-    out = {}
-    pos = 0
-    for key, size, is_ma in (
-        ("ar", spec.p, False),
-        ("ma", spec.q, True),
-        ("seasonal_ar", spec.P, False),
-        ("seasonal_ma", spec.Q, True),
-    ):
-        kappa = KAPPA_SCALE * np.tanh(z[pos: pos + size])
-        coeffs = pacf_to_coeffs(kappa)
-        out[key] = -coeffs if is_ma else coeffs
-        pos += size
-    return out
-
-
-def _params_from_blocks(blocks: dict[str, np.ndarray], mean: float, sigma2: float) -> SarimaParams:
-    return SarimaParams(
-        mean=mean,
-        ar=tuple(blocks["ar"]),
-        ma=tuple(blocks["ma"]),
-        seasonal_ar=tuple(blocks["seasonal_ar"]),
-        seasonal_ma=tuple(blocks["seasonal_ma"]),
-        sigma2=sigma2,
-    )
 
 
 NM_MAX_EVALS = 5000
@@ -690,9 +635,7 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
         if not np.isfinite(z).all():
             return np.inf
         try:
-            blocks = _z_to_blocks(z, spec)
-            params = _params_from_blocks(blocks, 0.0, 1.0)
-            ar_rec, ma_rec = expand_polynomials(spec, params)
+            ar_rec, ma_rec = expand_polynomials(spec, _z_to_params(z, spec))
             v, f = _innovations(wc, ar_rec, ma_rec)
             ll, _ = _concentrated_loglik(v, f)
         except (NumericalError, FloatingPointError):
@@ -703,13 +646,7 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
         z_best = np.empty(0)
         converged = True
     else:
-        start_blocks = _hannan_rissanen_start(wc, spec)
-        try:
-            z0 = _blocks_to_z(start_blocks)
-        except NumericalError:
-            z0 = np.zeros(dim)
-        if z0.size != dim or not np.isfinite(z0).all():
-            z0 = np.zeros(dim)
+        z0 = _hannan_rissanen_start(wc, spec)
         if not np.isfinite(objective(z0)):
             z0 = np.zeros(dim)
         rng = np.random.default_rng(seed)
@@ -727,12 +664,10 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
         z_best = best.x
         converged = bool(best.success)
 
-    blocks = _z_to_blocks(z_best, spec)
-    probe = _params_from_blocks(blocks, 0.0, 1.0)
-    ar_rec, ma_rec = _admissible_polynomials(spec, probe)
+    ar_rec, ma_rec = _admissible_polynomials(spec, _z_to_params(z_best, spec))
     v, f = _innovations(wc, ar_rec, ma_rec)
     loglik, sigma2 = _concentrated_loglik(v, f)
-    params = _params_from_blocks(blocks, mu, sigma2)
+    params = _z_to_params(z_best, spec, mu, sigma2)
     k = spec.k_params
     return SarimaFit(
         spec=spec,

@@ -18,9 +18,9 @@ import numpy as np
 from ._version import VERSION
 from .errors import SpecError
 from .metrics import FitMetrics, mape  # re-exported: metric API lives here
-from .pipeline import DatasetBundle, RawRecord, build_all
+from .pipeline import RawRecord, build_all
 from .selection import CandidateSet, EvaluationRow, RankedResults, evaluate_grid
-from .series import SplitSpec, TimeSeries
+from .series import SplitSpec
 
 __all__ = [
     "FitMetrics",
@@ -161,16 +161,7 @@ def render_report(report: StudyReport, fmt: str = "md") -> bytes:
             lines.extend(_markdown_table(table))
         return ("\n".join(lines).rstrip("\n") + "\n").encode("utf-8")
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["dataset", "grid", "models", "order", "test_mape", "train_mape",
-             "aic", "bic", "loglik", "converged", "error"]
-        )
-        for table in report.tables:
-            for row in table.results.rows:
-                writer.writerow(_csv_row(table, row))
-        return buf.getvalue().encode("utf-8")
+        return _results_csv(report.tables)
     raise SpecError(f"format must be 'md' or 'csv', got {fmt!r}")
 
 
@@ -194,17 +185,23 @@ def _csv_row(table: StudyTable, row: EvaluationRow) -> list[str]:
     ]
 
 
+def _results_csv(tables: tuple[StudyTable, ...] | list[StudyTable]) -> bytes:
+    """The rows of ``tables`` as CSV: the bytes of the CSV report and of each results file."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["dataset", "grid", "models", "order", "test_mape", "train_mape",
+         "aic", "bic", "loglik", "converged", "error"]
+    )
+    for table in tables:
+        for row in table.results.rows:
+            writer.writerow(_csv_row(table, row))
+    return buf.getvalue().encode("utf-8")
+
+
 def write_results_csv(tables: list[StudyTable], path: str | Path) -> None:
     """Per-dataset results file: same columns as the full CSV report."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["dataset", "grid", "models", "order", "test_mape", "train_mape",
-             "aic", "bic", "loglik", "converged", "error"]
-        )
-        for table in tables:
-            for row in table.results.rows:
-                writer.writerow(_csv_row(table, row))
+    Path(path).write_bytes(_results_csv(tables))
 
 
 def write_study_outputs(report: StudyReport, out_dir: str | Path) -> list[Path]:

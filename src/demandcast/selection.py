@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import recommend_differencing
 from .errors import InsufficientDataError, NumericalError, SpecError
-from .estimation import SarimaFit, SarimaSpec, fit
+from .estimation import SarimaSpec, fit
 from .metrics import dynamic_metrics, one_step_metrics
 from .series import SplitSpec, TimeSeries, split
 

@@ -270,6 +270,21 @@ class TestReport:
         for dataset in ("dropna", "mean", "median", "mode", "interp"):
             assert f"## {dataset} (explicit)" in md
 
+    def test_stepwise_grid_reports_each_winner_on_the_holdout(self, capsys, tmp_path):
+        # season 1 disables the seasonal moves, keeping the climb short
+        assert run(
+            "report", "--input", FIX, "--out-dir", str(tmp_path), "--grid", "stepwise",
+            "--impute", "mean", "--split", "count:60", "--season", "1",
+        ) == 0
+        assert "best holdout accuracy:" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mean_results.csv", "report.csv", "report.md"]
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("mean,stepwise,auto-arima,")
+        assert "## mean (stepwise)" in (tmp_path / "report.md").read_text()
+        # one dataset, so its results file holds the same rows as the report
+        assert (tmp_path / "mean_results.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+
 
 class TestForecast:
     def seed_model(self, tmp_path) -> None:
