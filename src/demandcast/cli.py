@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: ingest, diagnose, fit, search, report, forecast.  Configuration
-precedence is command-line flags over config-file entries over built-in
-defaults; the output directory additionally falls back to the DEMANDCAST_OUT
-environment variable.  Exit codes: 0 success, 1 usage, 2 bad input, 3 data
-insufficiency, 4 numerical failure.
+Subcommands: ingest, diagnose, fit, search, report, forecast.  Each setting
+is one field of :class:`RunConfig`, which declares its flag, config-file key,
+default and checks.  Configuration precedence is command-line flags over
+config-file entries over built-in defaults; the output directory additionally
+falls back to the DEMANDCAST_OUT environment variable.  Exit codes: 0 success,
+1 usage, 2 bad input, 3 data insufficiency, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ._version import VERSION
@@ -48,74 +49,125 @@ from .evaluation import (
 )
 from .metrics import dynamic_metrics, one_step_metrics
 from .pipeline import (
-    ImputationStrategy,
+    STRATEGY_LABELS,
     STRATEGY_ORDER,
+    ImputationStrategy,
     assemble,
     impute,
     missing_dates,
     parse_records,
     write_bundle_csv,
 )
-from .selection import CandidateSet, StepwiseConfig, evaluate_grid, fixed_grid, stepwise_search
-from .series import SplitSpec, default_split, split
+from .selection import (
+    GRID_KINDS,
+    CandidateSet,
+    StepwiseConfig,
+    evaluate_grid,
+    fixed_grid,
+    stepwise_search,
+)
+from .series import DifferenceSpec, SplitSpec, default_split, difference, split
 
 OUT_ENV = "DEMANDCAST_OUT"
 
-IMPUTE_CHOICES = ("drop", "mean", "median", "mode", "interp", "all")
-GRID_CHOICES = ("arima-table", "sarima-table", "stepwise")
-FORMAT_CHOICES = ("md", "csv")
 
-_STRATEGY_BY_FLAG = {
-    "drop": ImputationStrategy.DROP,
-    "mean": ImputationStrategy.MEAN,
-    "median": ImputationStrategy.MEDIAN,
-    "mode": ImputationStrategy.MODE,
-    "interp": ImputationStrategy.INTERPOLATE,
-}
+def _setting(default, help_text: str, parse=str, *, choices=(), minimum=None,
+             commands=(), action="store"):
+    """A RunConfig field: its default, flag help, parser and checks.
+
+    ``parse`` turns a flag string or a config-file value into the field's
+    type; ``choices`` and ``minimum`` are checked on the parsed value.  The
+    flag belongs to ``commands``, or to every command when that is empty.
+    """
+    return field(default=default, metadata={
+        "help": help_text, "parse": parse, "choices": choices, "minimum": minimum,
+        "commands": commands, "action": action,
+    })
+
+
+def _integer(raw) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise TypeError(raw)
+    return int(raw)
+
+
+def _boolean(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError(raw)
+    return raw
+
+
+def _optional_path(raw) -> Path | None:
+    return Path(raw) if raw else None
+
+
+def _specs(raw) -> tuple[SarimaSpec, ...]:
+    return tuple(SarimaSpec.parse(str(s)) for s in ([raw] if isinstance(raw, str) else raw))
 
 
 @dataclass
 class RunConfig:
-    """Effective settings for one CLI invocation."""
+    """Effective settings for one CLI invocation.
+
+    Every field after ``command`` is one setting: its flag is ``--`` plus the
+    name with dashes, its config-file key is the name, and its default is the
+    field default.
+    """
 
     command: str
-    input: Path | None = None
-    out_dir: Path = Path("demandcast_out")
-    split: SplitSpec = None
-    season: int = 7
-    grid: str | None = None
-    specs: tuple[SarimaSpec, ...] = ()
-    impute: str | None = None
-    seed: int = 0
-    format: str = "md"
-    jobs: int = 1
-    horizon: int = 7
-    model: Path | None = None
-    allow_nonconverged: bool = False
-
-    def __post_init__(self) -> None:
-        if self.split is None:
-            self.split = default_split()
+    input: Path | None = _setting(None, "raw daily CSV to ingest", _optional_path)
+    out_dir: Path = _setting(Path("demandcast_out"), f"output directory (or ${OUT_ENV})", Path)
+    split: SplitSpec = _setting(
+        default_split(), "train/test split: count:N, frac:F or date:YYYY-MM-DD", SplitSpec.parse
+    )
+    season: int = _setting(7, "seasonal period in days", _integer, minimum=1)
+    grid: str | None = _setting(
+        None, "candidate grid to evaluate", choices=(*GRID_KINDS, "stepwise"),
+        commands=("search", "report"),
+    )
+    spec: tuple[SarimaSpec, ...] = _setting(
+        (), "model orders p,d,q or p,d,q,P,D,Q,s (repeatable)", _specs,
+        commands=("fit", "search", "report"), action="append",
+    )
+    impute: str | None = _setting(
+        None, "imputation dataset selection", choices=(*(s.value for s in ImputationStrategy), "all")
+    )
+    seed: int = _setting(0, "seed for optimizer restarts", _integer, minimum=0)
+    format: str = _setting("md", "stdout table format", choices=("md", "csv"))
+    jobs: int = _setting(1, "parallel workers for grid evaluation", _integer, minimum=1)
+    horizon: int = _setting(7, "days ahead to forecast", _integer, minimum=1, commands=("forecast",))
+    model: Path | None = _setting(
+        None, "serialized fit file (default OUT/model.txt)", _optional_path, commands=("forecast",)
+    )
+    allow_nonconverged: bool = _setting(
+        False, "keep a fit whose optimizer missed its tolerance", _boolean,
+        commands=("fit",), action="store_true",
+    )
 
     def describe(self) -> list[str]:
-        pairs = {
-            "command": self.command,
-            "input": "" if self.input is None else str(self.input),
-            "out_dir": str(self.out_dir),
-            "split": self.split.describe(),
-            "season": self.season,
-            "grid": self.grid or "",
-            "spec": ";".join(s.label() for s in self.specs),
-            "impute": self.impute or "",
-            "seed": self.seed,
-            "format": self.format,
-            "jobs": self.jobs,
-            "horizon": self.horizon,
-            "model": "" if self.model is None else str(self.model),
-            "allow_nonconverged": str(self.allow_nonconverged).lower(),
-            "version": VERSION,
-        }
+        pairs = {f.name: _show(getattr(self, f.name)) for f in fields(self)}
+        pairs["version"] = VERSION
         return [f"{key}={pairs[key]}" for key in sorted(pairs)]
+
+
+_SETTINGS = fields(RunConfig)[1:]
+
+
+def _show(value) -> str:
+    """A setting as ``--print-config`` writes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, SplitSpec):
+        return value.describe()
+    if isinstance(value, tuple):
+        return ";".join(s.label() for s in value)
+    return str(value)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,59 +177,28 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", help="raw daily CSV to ingest")
-    sub.add_argument("--out-dir", help=f"output directory (or ${OUT_ENV})")
-    sub.add_argument("--split", help="train/test split: count:N, frac:F or date:YYYY-MM-DD")
-    sub.add_argument("--season", type=int, help="seasonal period in days (default 7)")
-    sub.add_argument("--impute", choices=IMPUTE_CHOICES, help="imputation dataset selection")
-    sub.add_argument("--seed", type=int, help="seed for optimizer restarts (default 0)")
-    sub.add_argument("--format", choices=FORMAT_CHOICES, help="stdout table format (default md)")
-    sub.add_argument("--jobs", type=int, help="parallel workers for grid evaluation (default 1)")
-    sub.add_argument("--config", help="JSON file with defaults for any of these flags")
-    sub.add_argument(
-        "--print-config", action="store_true",
-        help="print the effective configuration and exit",
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="demandcast", description="Daily demand forecasting toolkit")
     parser.add_argument("--version", action="version", version=f"demandcast {VERSION}")
     commands = parser.add_subparsers(dest="command", metavar="command")
-    specs = {
-        "ingest": "parse the raw CSV and write the five imputation datasets",
-        "diagnose": "unit-root and correlogram diagnostics per dataset",
-        "fit": "fit one model spec and serialize it",
-        "search": "evaluate a candidate grid or run the stepwise search",
-        "report": "full study: every grid on every imputation dataset",
-        "forecast": "load a serialized fit and emit forecasts",
-    }
-    subs = {}
-    for name, help_text in specs.items():
-        sub = commands.add_parser(name, help=help_text, description=help_text)
-        _add_common(sub)
-        subs[name] = sub
-    for name in ("fit", "search", "report"):
-        subs[name].add_argument(
-            "--spec", action="append", dest="spec",
-            help="model orders p,d,q or p,d,q,P,D,Q,s (repeatable)",
+    for name, command in _COMMANDS.items():
+        sub = commands.add_parser(name, help=command.__doc__, description=command.__doc__)
+        for setting in _SETTINGS:
+            meta = setting.metadata
+            if meta["commands"] and name not in meta["commands"]:
+                continue
+            shown = _show(setting.default)
+            help_text = meta["help"] + (f" (default {shown})" if shown else "")
+            extra = {"metavar": "{" + ",".join(meta["choices"]) + "}"} if meta["choices"] else {}
+            sub.add_argument(
+                _flag(setting.name), action=meta["action"], default=None, help=help_text, **extra
+            )
+        sub.add_argument("--config", help="JSON file with defaults for any of these flags")
+        sub.add_argument(
+            "--print-config", action="store_true",
+            help="print the effective configuration and exit",
         )
-    for name in ("search", "report"):
-        subs[name].add_argument("--grid", choices=GRID_CHOICES, help="candidate grid to evaluate")
-    subs["fit"].add_argument(
-        "--allow-nonconverged", action="store_true",
-        help="keep a fit whose optimizer missed its tolerance",
-    )
-    subs["forecast"].add_argument("--model", help="serialized fit file (default OUT/model.txt)")
-    subs["forecast"].add_argument("--horizon", type=int, help="days ahead to forecast (default 7)")
     return parser
-
-
-_CONFIG_KEYS = {
-    "input", "out_dir", "split", "season", "grid", "spec", "impute",
-    "seed", "format", "jobs", "horizon", "model", "allow_nonconverged",
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -190,59 +211,40 @@ def _load_config_file(path: str) -> dict:
         raise DataError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"config file {p} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {s.name for s in _SETTINGS}
     if unknown:
         raise SpecError(f"config file {p} has unknown keys: {sorted(unknown)}")
     return data
 
 
+def _check(setting, raw):
+    """Parse one flag or config-file value and apply its setting's checks."""
+    meta, flag = setting.metadata, _flag(setting.name)
+    try:
+        value = meta["parse"](raw)
+    except SpecError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"invalid value for {flag}: {raw!r}") from exc
+    if meta["choices"] and value not in meta["choices"]:
+        raise SpecError(f"{flag} must be one of {meta['choices']}, got {value!r}")
+    if meta["minimum"] is not None and value < meta["minimum"]:
+        raise SpecError(f"{flag} must be >= {meta['minimum']}, got {value}")
+    return value
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name: str, default):
-        value = getattr(args, name, None)
-        if value is not None and value is not False and value != []:
-            return value
-        if name in file_cfg and file_cfg[name] is not None:
-            return file_cfg[name]
-        return default
-
-    out_default = os.environ.get(OUT_ENV) or "demandcast_out"
-    raw_specs = pick("spec", None)
-    if raw_specs is None:
-        specs: tuple[SarimaSpec, ...] = ()
-    elif isinstance(raw_specs, str):
-        specs = (SarimaSpec.parse(raw_specs),)
-    else:
-        specs = tuple(SarimaSpec.parse(str(s)) for s in raw_specs)
-    split_raw = pick("split", None)
-    split_spec = SplitSpec.parse(split_raw) if isinstance(split_raw, str) else (split_raw or default_split())
-    season = int(pick("season", 7))
-    if season < 1:
-        raise SpecError(f"--season must be >= 1, got {season}")
-    seed = int(pick("seed", 0))
-    jobs = int(pick("jobs", 1))
-    if jobs < 1:
-        raise SpecError(f"--jobs must be >= 1, got {jobs}")
-    horizon = int(pick("horizon", 7))
-    model = pick("model", None)
-    input_path = pick("input", None)
-    return RunConfig(
-        command=args.command,
-        input=Path(input_path) if input_path else None,
-        out_dir=Path(pick("out_dir", out_default)),
-        split=split_spec,
-        season=season,
-        grid=pick("grid", None),
-        specs=specs,
-        impute=pick("impute", None),
-        seed=seed,
-        format=str(pick("format", "md")),
-        jobs=jobs,
-        horizon=horizon,
-        model=Path(model) if model else None,
-        allow_nonconverged=bool(pick("allow_nonconverged", False)),
-    )
+    """Each setting from the first source that gives it: flag, config file, environment."""
+    sources = [vars(args)]
+    if args.config:
+        sources.append(_load_config_file(args.config))
+    sources.append({"out_dir": os.environ.get(OUT_ENV) or None})
+    values = {}
+    for setting in _SETTINGS:
+        raw = next((src[setting.name] for src in sources if src.get(setting.name) is not None), None)
+        if raw is not None:
+            values[setting.name] = _check(setting, raw)
+    return RunConfig(command=args.command, **values)
 
 
 def _require_input(cfg: RunConfig) -> Path:
@@ -259,21 +261,37 @@ def _ensure_out(cfg: RunConfig) -> Path:
     return cfg.out_dir
 
 
-def _selected_strategies(cfg: RunConfig, default: str) -> list[ImputationStrategy]:
+def _load(cfg: RunConfig, default: str, single: bool = False):
+    """Parsed input records and the imputation strategies named by --impute, else ``default``.
+
+    ``single`` commands work on one dataset and reject ``all``.
+    """
     choice = cfg.impute or default
     if choice == "all":
-        return list(STRATEGY_ORDER)
-    if choice not in _STRATEGY_BY_FLAG:
-        raise SpecError(f"--impute must be one of {IMPUTE_CHOICES}, got {choice!r}")
-    return [_STRATEGY_BY_FLAG[choice]]
+        if single:
+            raise SpecError(f"{cfg.command} needs a single imputation choice, not 'all'")
+        strategies = STRATEGY_ORDER
+    else:
+        try:
+            strategies = (ImputationStrategy(choice),)
+        except ValueError:
+            raise SpecError(f"unknown imputation {choice!r}") from None
+    return parse_records(_require_input(cfg)), strategies
 
 
-def _single_bundle(cfg: RunConfig, default: str = "drop"):
-    strategies = _selected_strategies(cfg, default)
-    if len(strategies) != 1:
-        raise SpecError(f"{cfg.command} needs a single imputation choice, not 'all'")
-    records = parse_records(_require_input(cfg))
-    return impute(assemble(records), strategies[0])
+def _single_bundle(cfg: RunConfig, default: str):
+    records, (strategy,) = _load(cfg, default, single=True)
+    return impute(assemble(records), strategy)
+
+
+def _grids(cfg: RunConfig, default: tuple[str, ...]) -> list[CandidateSet] | None:
+    """Candidate sets from --spec, else --grid, else ``default``; None means stepwise."""
+    if cfg.spec:
+        return [CandidateSet(specs=cfg.spec, source="explicit", name="explicit")]
+    kinds = (cfg.grid,) if cfg.grid else default
+    if kinds == ("stepwise",):
+        return None
+    return [fixed_grid(kind) for kind in kinds]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +299,8 @@ def _single_bundle(cfg: RunConfig, default: str = "drop"):
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    records = parse_records(_require_input(cfg))
+    """parse the raw CSV and write the five imputation datasets"""
+    records, strategies = _load(cfg, "all")
     base = assemble(records)
     out = _ensure_out(cfg)
     gaps = missing_dates(base)
@@ -295,7 +314,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     ]
     lines += [d.isoformat() for d in gaps]
     (out / "gap_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for strategy in _selected_strategies(cfg, "all"):
+    for strategy in strategies:
         bundle = impute(base, strategy)
         path = out / f"{bundle.name}.csv"
         write_bundle_csv(bundle, path)
@@ -306,8 +325,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def _correlogram_rows(series, max_d: int = 1):
-    from .series import DifferenceSpec, difference
-
     rows = []
     for d in range(max_d + 1):
         w = series if d == 0 else difference(series, DifferenceSpec(d=d))
@@ -322,10 +339,11 @@ def _correlogram_rows(series, max_d: int = 1):
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
-    records = parse_records(_require_input(cfg))
+    """unit-root and correlogram diagnostics per dataset"""
+    records, strategies = _load(cfg, "all")
     base = assemble(records)
     out = _ensure_out(cfg)
-    for strategy in _selected_strategies(cfg, "all"):
+    for strategy in strategies:
         bundle = impute(base, strategy)
         series = bundle.series
         profile = unit_root_profile(series, max_d=2)
@@ -355,7 +373,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
         try:
             rec = recommend_differencing(series, s=cfg.season)
             print(f"  recommended differencing: d={rec.d}")
-        except (InsufficientDataError, DemandcastError) as exc:
+        except DemandcastError as exc:
             print(f"  differencing recommendation unavailable: {exc}")
         corr_lines = ["diff_order,lag,acf,pacf,band"]
         for d, lag, av, pv, band in _correlogram_rows(series):
@@ -368,10 +386,11 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    if len(cfg.specs) != 1:
+    """fit one model spec and serialize it"""
+    if len(cfg.spec) != 1:
         raise SpecError("fit needs exactly one --spec p,d,q or p,d,q,P,D,Q,s")
-    spec = cfg.specs[0]
-    bundle = _single_bundle(cfg)
+    spec = cfg.spec[0]
+    bundle = _single_bundle(cfg, "drop")
     train, test = split(bundle.series, cfg.split)
     fit_result = fit(spec, train, seed=cfg.seed)
     if not fit_result.converged and not cfg.allow_nonconverged:
@@ -398,21 +417,6 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def _grid_for(cfg: RunConfig) -> CandidateSet:
-    if cfg.specs:
-        return CandidateSet(specs=cfg.specs, source="explicit", name="explicit")
-    grid = cfg.grid or "stepwise"
-    if grid in ("arima-table", "sarima-table"):
-        return fixed_grid(grid)
-    if grid == "stepwise":
-        raise SpecError("stepwise has no fixed candidate set")
-    raise SpecError(f"--grid must be one of {GRID_CHOICES}, got {grid!r}")
-
-
-def _print_table(report: StudyReport, fmt: str) -> None:
-    sys.stdout.write(render_report(report, fmt).decode("utf-8"))
-
-
 def _stepwise_holdout(bundle, cfg: RunConfig):
     """Stepwise search on the training side, then its winner evaluated on the split.
 
@@ -432,10 +436,11 @@ def _stepwise_holdout(bundle, cfg: RunConfig):
 
 
 def cmd_search(cfg: RunConfig) -> int:
-    bundle = _single_bundle(cfg)
+    """evaluate a candidate grid or run the stepwise search"""
+    bundle = _single_bundle(cfg, "drop")
     out = _ensure_out(cfg)
-    grid_choice = cfg.grid or ("explicit" if cfg.specs else "stepwise")
-    if grid_choice == "stepwise" and not cfg.specs:
+    grids = _grids(cfg, ("stepwise",))
+    if grids is None:
         ranked, holdout = _stepwise_holdout(bundle, cfg)
         table = StudyTable(dataset=bundle.name, grid="stepwise", results=ranked)
         best = ranked.best
@@ -444,11 +449,11 @@ def cmd_search(cfg: RunConfig) -> int:
         if not row.failed:
             print(f"holdout test MAPE: {row.test_mape:.3f}")
     else:
-        candidates = _grid_for(cfg)
+        (candidates,) = grids
         ranked = evaluate_grid(bundle.series, cfg.split, candidates, seed=cfg.seed, jobs=cfg.jobs)
         table = StudyTable(dataset=bundle.name, grid=candidates.name, results=ranked)
     report = StudyReport(tables=(table,), split=cfg.split, seed=cfg.seed)
-    _print_table(report, cfg.format)
+    sys.stdout.write(render_report(report, cfg.format).decode("utf-8"))
     write_results_csv([table], out / f"{bundle.name}_results.csv")
     (out / f"{bundle.name}_results.md").write_bytes(render_report(report, "md"))
     print(f"wrote {out / f'{bundle.name}_results.csv'}")
@@ -456,25 +461,23 @@ def cmd_search(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    records = parse_records(_require_input(cfg))
+    """full study: every grid on every imputation dataset"""
+    records, strategies = _load(cfg, "all")
     out = _ensure_out(cfg)
-    if cfg.grid == "stepwise" and not cfg.specs:
+    grids = _grids(cfg, GRID_KINDS)
+    if grids is None:
         # one stepwise winner per dataset, evaluated on the common split
         base = assemble(records)
         tables = []
-        for strategy in _selected_strategies(cfg, "all"):
+        for strategy in strategies:
             bundle = impute(base, strategy)
             _, holdout = _stepwise_holdout(bundle, cfg)
             tables.append(StudyTable(dataset=bundle.name, grid="stepwise", results=holdout))
         report = StudyReport(tables=tuple(tables), split=cfg.split, seed=cfg.seed)
     else:
-        if cfg.specs:
-            grids = [CandidateSet(specs=cfg.specs, source="explicit", name="explicit")]
-        elif cfg.grid:
-            grids = [_grid_for(cfg)]
-        else:
-            grids = [fixed_grid("arima-table"), fixed_grid("sarima-table")]
-        report = run_study(records, cfg.split, grids, seed=cfg.seed, jobs=cfg.jobs)
+        report = run_study(
+            records, cfg.split, grids, seed=cfg.seed, jobs=cfg.jobs, strategies=strategies
+        )
     paths = write_study_outputs(report, out)
     best = report.best_model
     if best is not None:
@@ -486,19 +489,13 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_forecast(cfg: RunConfig) -> int:
+    """load a serialized fit and emit forecasts"""
     model_path = cfg.model or (cfg.out_dir / "model.txt")
     fit_result, metadata = load_fit(model_path)
-    impute_choice = cfg.impute or metadata.get("dataset") or "drop"
-    label_to_flag = {"dropna": "drop", "mean": "mean", "median": "median", "mode": "mode", "interp": "interp"}
-    if impute_choice in label_to_flag:
-        impute_choice = label_to_flag[impute_choice]
-    if impute_choice == "all":
-        raise SpecError("forecast needs a single imputation choice, not 'all'")
-    strategy = _STRATEGY_BY_FLAG.get(impute_choice)
-    if strategy is None:
-        raise SpecError(f"unknown imputation {impute_choice!r}")
-    records = parse_records(_require_input(cfg))
-    bundle = impute(assemble(records), strategy)
+    # the fit's dataset label names the default imputation choice
+    dataset = metadata.get("dataset") or STRATEGY_LABELS[ImputationStrategy.DROP]
+    by_label = {label: strategy.value for strategy, label in STRATEGY_LABELS.items()}
+    bundle = _single_bundle(cfg, by_label.get(dataset, dataset))
     fc = forecast(fit_result, bundle.series, cfg.horizon)
     out = _ensure_out(cfg)
     lines = ["date,point,lower95,upper95"]
@@ -513,12 +510,16 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "diagnose": cmd_diagnose,
-    "fit": cmd_fit,
-    "search": cmd_search,
-    "report": cmd_report,
-    "forecast": cmd_forecast,
+    command.__name__.removeprefix("cmd_"): command
+    for command in (cmd_ingest, cmd_diagnose, cmd_fit, cmd_search, cmd_report, cmd_forecast)
+}
+
+# exit code and stderr prefix per error type
+_EXIT_CODES = {
+    SpecError: (1, "usage error"),
+    DataError: (2, "input error"),
+    InsufficientDataError: (3, "data insufficiency"),
+    NumericalError: (4, "numerical failure"),
 }
 
 
@@ -530,23 +531,15 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         cfg = _merge_config(args)
-        if getattr(args, "print_config", False):
+        if args.print_config:
             for line in cfg.describe():
                 print(line)
             return 0
         return _COMMANDS[cfg.command](cfg)
-    except SpecError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except InsufficientDataError as exc:
-        print(f"data insufficiency: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_EXIT_CODES) as exc:
+        code, prefix = next(v for kind, v in _EXIT_CODES.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def console_entry() -> None:  # pragma: no cover - thin wrapper

@@ -32,7 +32,7 @@ import scipy  # submodules load on first use, so importing the package skips the
 
 from .diagnostics import _pacf_values
 from .errors import DataError, InsufficientDataError, NumericalError, SpecError
-from .series import DifferenceSpec, TimeSeries, difference, dropped_initials, integrate
+from .series import DifferenceSpec, TimeSeries, difference
 
 # the likelihood is plain NumPy/SciPy; the flag stays because the benchmark's
 # environment stamp (perfbench/run.py) still records it
@@ -685,19 +685,19 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
 # forecasting and simulation
 
 
-def _psi_weights(ar_rec: np.ndarray, ma_rec: np.ndarray, diff: DifferenceSpec, horizon: int) -> np.ndarray:
-    """MA-infinity weights of the model including its differencing operator."""
-    ar_poly = np.concatenate(([1.0], -np.asarray(ar_rec, dtype=float)))
-    for _ in range(diff.d):
-        ar_poly = np.convolve(ar_poly, [1.0, -1.0])
-    for _ in range(diff.D):
-        seasonal = np.zeros(diff.s + 1)
-        seasonal[0] = 1.0
-        seasonal[-1] = -1.0
-        ar_poly = np.convolve(ar_poly, seasonal)
-    impulse = np.zeros(horizon)
-    impulse[0] = 1.0
-    return scipy.signal.lfilter(np.append(1.0, ma_rec), ar_poly, impulse)
+def _difference_factors(diff: DifferenceSpec) -> list[np.ndarray]:
+    """Lag polynomials 1-B (d times) then 1-B^s (D times), lag 0 first."""
+    seasonal = np.zeros(diff.s + 1)
+    seasonal[0], seasonal[-1] = 1.0, -1.0
+    return [np.array([1.0, -1.0])] * diff.d + [seasonal] * diff.D
+
+
+def _integrated_ar(ar_rec: np.ndarray, diff: DifferenceSpec) -> np.ndarray:
+    """Lag polynomial phi(B)(1-B)^d(1-B^s)^D of the undifferenced series, lag 0 first."""
+    poly = np.append(1.0, -ar_rec)
+    for factor in _difference_factors(diff):
+        poly = np.convolve(poly, factor)
+    return poly
 
 
 def default_horizon_cap(spec: SarimaSpec) -> int:
@@ -736,21 +736,14 @@ def forecast(
     s = np.minimum(n + h - k, n - 1)
     z_hat = np.zeros(horizon)
     z_hat[:ahead] = np.where(k > h, c[k, s] * u[s], 0.0).sum(axis=1)
-    # w_{n+h} = z_{n+h} + sum_i ar_i w_{n+h-i}, started from the last p values
-    a = np.append(1.0, -ar_rec)
-    zi = scipy.linalg.hankel(ar_rec) @ wc[::-1][: ar_rec.size]  # lfilter state from those values
-    w_hat = scipy.signal.lfilter([1.0], a, z_hat, zi=zi)[0] + params.mean
-
-    diff = spec.diff_spec
-    if diff.n_dropped:
-        init = dropped_initials(series, diff)
-        diffed = difference(series, diff)
-        full = TimeSeries(diffed.start_date, np.concatenate((diffed.values, w_hat)))
-        points = integrate(full, diff, init).values[-horizon:]
-    else:
-        points = w_hat
-
-    psi = _psi_weights(ar_rec, ma_rec, diff, horizon)
+    # a(B) y_t = z_t + phi(1) mean with a(B) = phi(B)(1-B)^d(1-B^s)^D, so each
+    # y_{n+h} follows by recursion from the last len(a) - 1 values of the series
+    a = _integrated_ar(ar_rec, spec.diff_spec)
+    zi = scipy.linalg.hankel(-a[1:]) @ series.values[::-1][: a.size - 1]  # lfilter state from those values
+    points = scipy.signal.lfilter([1.0], a, z_hat + (1.0 - ar_rec.sum()) * params.mean, zi=zi)[0]
+    impulse = np.zeros(horizon)
+    impulse[0] = 1.0
+    psi = scipy.signal.lfilter(np.append(1.0, ma_rec), a, impulse)
     variance = params.sigma2 * np.cumsum(psi * psi)
     half = 1.96 * np.sqrt(variance)
     start = series.end_date + dt.timedelta(days=1)
@@ -774,7 +767,7 @@ def simulate(
 
     The ARMA core is simulated with a burn-in of at least ten state
     dimensions, the mean is added, then the differencing operators are
-    inverted from zero initial values and the final ``n`` points returned.
+    inverted one factor at a time, 1-B then 1-B^s, from zero initial values.
     """
     _check_dims(spec, params)
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
@@ -788,13 +781,9 @@ def simulate(
         np.concatenate(([1.0], ma_rec)), np.concatenate(([1.0], -ar_rec)), eps
     )[burn:]
     path = path + params.mean
-    diff = spec.diff_spec
-    if diff.n_dropped:
-        placed = TimeSeries(start_date + dt.timedelta(days=diff.n_dropped), path)
-        values = integrate(placed, diff, np.zeros(diff.n_dropped)).values[-n:]
-    else:
-        values = path
-    return TimeSeries(start_date, values)
+    for factor in _difference_factors(spec.diff_spec):
+        path = scipy.signal.lfilter([1.0], factor, path)
+    return TimeSeries(start_date, path)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ direct solve of the Yule-Walker system, predictions through brute-force
 recursion on the ARMA difference equation, the reference Kalman filter
 through a Kronecker-product stationary covariance and a full covariance
 update at every step, the AR(2) likelihood in closed form, and OLS
-t-ratios from the normal equations in exact rational arithmetic.
+t-ratios and the ARMA likelihood in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -133,11 +133,21 @@ def ols_tstat_exact(y: np.ndarray, x: np.ndarray, col: int) -> float:
     Y = [Fraction(float(v)) for v in np.asarray(y, dtype=float)]
     k = len(X[0])
     xty = [sum(row[i] * yv for row, yv in zip(X, Y)) for i in range(k)]
-    # augmented [X'X | X'y | e_col]: its solution holds beta and column col of (X'X)^-1
-    aug = [
+    # the solution of [X'X | X'y | e_col] holds beta and column col of (X'X)^-1
+    solution = _solve_exact([
         [sum(row[i] * row[j] for row in X) for j in range(k)] + [xty[i], Fraction(int(i == col))]
         for i in range(k)
-    ]
+    ])
+    beta = [row[0] for row in solution]
+    ssr = sum(v * v for v in Y) - sum(b * v for b, v in zip(beta, xty))
+    t2 = beta[col] ** 2 * (len(Y) - k) / (ssr * solution[col][1])
+    return math.copysign(math.sqrt(float(t2)), beta[col])
+
+
+def _solve_exact(aug: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan elimination of a rational augmented matrix [A | B]; returns the rows of A^-1 B."""
+    k = len(aug)
+    aug = [row[:] for row in aug]
     for c in range(k):
         pivot = next(r for r in range(c, k) if aug[r][c] != 0)
         aug[c], aug[pivot] = aug[pivot], aug[c]
@@ -147,10 +157,47 @@ def ols_tstat_exact(y: np.ndarray, x: np.ndarray, col: int) -> float:
             if r != c and aug[r][c] != 0:
                 f = aug[r][c]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    beta = [aug[i][k] for i in range(k)]
-    ssr = sum(v * v for v in Y) - sum(b * v for b, v in zip(beta, xty))
-    t2 = beta[col] ** 2 * (len(Y) - k) / (ssr * aug[col][k + 1])
-    return math.copysign(math.sqrt(float(t2)), beta[col])
+    return [row[k:] for row in aug]
+
+
+def mvn_loglik_exact(ar, ma, mean: float, sigma2: float, y: np.ndarray) -> float:
+    """Exact Gaussian log-density of y under a stationary ARMA, in exact rationals.
+
+    Every float input is converted to a ``Fraction`` without rounding.  The
+    autocovariances gamma(0..p) solve the linear system
+    gamma(k) - sum_i ar_i gamma(|k-i|) = sigma2 sum_{j>=k} ma_j psi_{j-k},
+    later lags follow by the AR recursion, and the Durbin-Levinson recursion
+    on the resulting Toeplitz covariance gives the one-step prediction errors
+    and their variances.  Only the final logs are taken in floating point.
+    """
+    phi = [Fraction(float(v)) for v in np.asarray(ar, dtype=float)]
+    theta = [Fraction(1)] + [Fraction(float(v)) for v in np.asarray(ma, dtype=float)]
+    s2 = Fraction(float(sigma2))
+    x = [Fraction(float(v)) - Fraction(float(mean)) for v in np.asarray(y, dtype=float)]
+    p, q, n = len(phi), len(theta) - 1, len(x)
+    psi = [Fraction(1)]
+    for j in range(1, q + 1):
+        psi.append(theta[j] + sum(phi[i - 1] * psi[j - i] for i in range(1, min(j, p) + 1)))
+    rhs = [s2 * sum(theta[j] * psi[j - k] for j in range(k, q + 1)) for k in range(max(p, q, n) + 1)]
+    aug = [[Fraction(int(k == m)) for m in range(p + 1)] + [rhs[k]] for k in range(p + 1)]
+    for k in range(p + 1):
+        for i in range(1, p + 1):
+            aug[k][abs(k - i)] -= phi[i - 1]
+    gamma = [row[0] for row in _solve_exact(aug)]
+    for k in range(p + 1, n):
+        gamma.append(sum(phi[i - 1] * gamma[k - i] for i in range(1, p + 1)) + rhs[k])
+    # Durbin-Levinson: coeffs predict x_k from x_{k-1}, ..., x_0 with error variance v
+    coeffs: list[Fraction] = []
+    v = gamma[0]
+    quad, logdet = x[0] * x[0] / v, math.log(v)
+    for k in range(1, n):
+        kappa = (gamma[k] - sum(c * gamma[k - 1 - j] for j, c in enumerate(coeffs))) / v
+        coeffs = [c - kappa * r for c, r in zip(coeffs, reversed(coeffs))] + [kappa]
+        v *= 1 - kappa * kappa
+        err = x[k] - sum(c * x[k - 1 - j] for j, c in enumerate(coeffs))
+        quad += err * err / v
+        logdet += math.log(v)
+    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + float(quad))
 
 
 def kalman_loglik(ar, ma, mean: float, sigma2: float, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_CSV
-from demandcast import SarimaFit, SarimaParams, SarimaSpec, load_fit
+from demandcast import SarimaFit, SarimaParams, SarimaSpec, __version__, load_fit
 from demandcast.cli import main
 
 FIX = str(FIXTURE_CSV)
@@ -85,6 +85,22 @@ class TestPrintConfig:
         assert "season=14" in out    # file beats default
         assert "jobs=1" in out       # untouched default
 
+    def test_config_file_can_set_every_key(self, capsys, tmp_path):
+        settings = {
+            "input": FIX, "out_dir": str(tmp_path), "split": "frac:0.25", "season": 14,
+            "grid": "arima-table", "spec": ["1,0,0", "0,1,1"], "impute": "interp", "seed": 9,
+            "format": "csv", "jobs": 3, "horizon": 10, "model": "m.txt", "allow_nonconverged": True,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        assert run("report", "--config", str(cfg), "--print-config") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "allow_nonconverged=true", "command=report", "format=csv", "grid=arima-table",
+            "horizon=10", "impute=interp", f"input={FIX}", "jobs=3", "model=m.txt",
+            f"out_dir={tmp_path}", "season=14", "seed=9", "spec=(1,0,0);(0,1,1)",
+            "split=frac:0.25", f"version={__version__}",
+        ]
+
     def test_out_dir_falls_back_to_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("DEMANDCAST_OUT", "/tmp/envout")
         assert run("ingest", "--input", FIX, "--print-config") == 0
@@ -99,6 +115,36 @@ class TestPrintConfig:
         unknown = tmp_path / "unk.json"
         unknown.write_text(json.dumps({"speed": 3}))
         assert run("ingest", "--input", FIX, "--config", str(unknown)) == 1
+
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("search", {"format": "html"}),
+            ("report", {"impute": "linear"}),
+            ("report", {"grid": "everything"}),
+            ("search", {"jobs": 0}),
+            ("fit", {"season": "weekly", "spec": "1,0,0"}),
+            ("fit", {"allow_nonconverged": "yes", "spec": "1,0,0"}),
+            ("report", {"spec": 5}),
+        ],
+        ids=["format", "impute", "grid", "jobs", "season", "allow_nonconverged", "spec"],
+    )
+    def test_config_file_values_are_checked_like_flags(self, command, settings, capsys,
+                                                       tmp_path, monkeypatch):
+        import demandcast.cli as cli_mod
+
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("a model was fitted before the settings were checked")
+
+        for name in ("fit", "evaluate_grid", "run_study", "stepwise_search"):
+            monkeypatch.setattr(cli_mod, name, no_fitting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "out"
+        assert run(command, "--input", FIX, "--out-dir", str(out), "--split", "count:60",
+                   "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
     def test_config_file_can_supply_specs(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -269,6 +315,16 @@ class TestReport:
         md = (tmp_path / "report.md").read_text()
         for dataset in ("dropna", "mean", "median", "mode", "interp"):
             assert f"## {dataset} (explicit)" in md
+
+    def test_impute_picks_the_datasets_of_a_grid_study(self, tmp_path):
+        assert run(
+            "report", "--input", FIX, "--out-dir", str(tmp_path), "--impute", "mean",
+            "--spec", "1,0,0", "--split", "count:60",
+        ) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mean_results.csv", "report.csv", "report.md"]
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("mean,explicit,")
 
     def test_stepwise_grid_reports_each_winner_on_the_holdout(self, capsys, tmp_path):
         # season 1 disables the seasonal moves, keeping the climb short

@@ -289,7 +289,7 @@ class TestFilterKernel:
                 marks=pytest.mark.xfail(
                     strict=True, raises=(AssertionError, NumericalError),
                     reason="the bilinear Lyapunov solve loses the stationary variances when both "
-                    "partial autocorrelations are near +1 (ROADMAP item 7)",
+                    "partial autocorrelations are near +1 (ROADMAP item 4)",
                 ),
             )
             for m in (1e-5, 1e-6)
@@ -307,6 +307,55 @@ class TestFilterKernel:
         series = simulate(SarimaSpec(0, 1, 0), SarimaParams(), n=120, seed=44)
         want = _oracles.ar2_loglik(ar, 2.0, series.values)
         assert log_likelihood(spec, params, series) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "spec, params",
+        [
+            pytest.param(
+                SarimaSpec(2, 0, 0),
+                SarimaParams(mean=0.3, ar=tuple(pacf_to_coeffs(np.array([1 - 1e-6, -(1 - 1e-6)]))), sigma2=2.0),
+                id="ar2-opposite-1e-06",
+            ),
+            pytest.param(
+                SarimaSpec(0, 0, 0, P=1, s=7), SarimaParams(mean=0.3, seasonal_ar=(-0.99999,), sigma2=2.0),
+                id="sar1-minus-0.99999",
+            ),
+            pytest.param(
+                SarimaSpec(1, 0, 0, P=1, s=7),
+                SarimaParams(mean=0.3, ar=(0.999,), seasonal_ar=(0.999,), sigma2=2.0),
+                id="ar1xsar1-0.999",
+            ),
+            pytest.param(
+                SarimaSpec(2, 0, 1), SarimaParams(mean=0.3, ar=(0.5, -0.3), ma=(0.4,), sigma2=2.0),
+                id="arma21",
+            ),
+            pytest.param(
+                SarimaSpec(2, 0, 0),
+                SarimaParams(mean=0.3, ar=tuple(pacf_to_coeffs(np.array([1 - 1e-4, 1 - 1e-4]))), sigma2=2.0),
+                id="ar2-same-1e-04",
+                marks=pytest.mark.xfail(
+                    strict=True, raises=AssertionError,
+                    reason="the bilinear Lyapunov solve is ~1e-9 off when both partial "
+                    "autocorrelations are near +1 (ROADMAP item 4)",
+                ),
+            ),
+            pytest.param(
+                SarimaSpec(1, 0, 0, P=1, s=7),
+                SarimaParams(mean=0.3, ar=(0.99999,), seasonal_ar=(0.99999,), sigma2=2.0),
+                id="ar1xsar1-0.99999",
+                marks=pytest.mark.xfail(
+                    strict=True, raises=AssertionError,
+                    reason="the bilinear Lyapunov solve is ~4e-7 off next to a regular and a "
+                    "seasonal unit root (ROADMAP item 4)",
+                ),
+            ),
+        ],
+    )
+    def test_matches_exact_rational_oracle(self, spec, params):
+        walk = make_series(np.cumsum(np.random.default_rng(61).normal(size=40)))
+        ar_rec, ma_rec = expand_polynomials(spec, params)
+        want = _oracles.mvn_loglik_exact(ar_rec, ma_rec, params.mean, params.sigma2, walk.values)
+        assert log_likelihood(spec, params, walk) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize(
         "case", [(ROLLING_SPEC, ROLLING_PARAMS), NEVER_STEADY_R8], ids=["rolling-r42", "never-steady-r8"]
