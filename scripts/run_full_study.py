@@ -11,8 +11,10 @@ Three stages, all under one output directory:
                  on holdout MAPE
 
 The input CSV comes from --input or the DEMANDCAST_DATA environment
-variable.  A full run covers 125 model fits; expect minutes, not seconds,
-and use --jobs to spread the grid across cores.
+variable, and the outputs go to --out-dir (default study_out).  Every other
+option is passed only to the stages that read it, and only when given, so
+the CLI's defaults are the only defaults.  A full run covers 125 model fits;
+expect minutes, not seconds, and use --jobs to spread the grid across cores.
 """
 
 from __future__ import annotations
@@ -23,35 +25,37 @@ import sys
 
 from demandcast.cli import main
 
+# the options each stage reads besides --input and --out-dir
+STAGES = {
+    "ingest": (),
+    "diagnose": ("season",),
+    "report": ("season", "seed", "split", "jobs"),
+}
+
 
 def run() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], argument_default=argparse.SUPPRESS
+    )
     parser.add_argument(
         "--input",
         default=os.environ.get("DEMANDCAST_DATA"),
         help="raw daily export CSV (default: $DEMANDCAST_DATA)",
     )
     parser.add_argument("--out-dir", default="study_out", help="output directory")
-    parser.add_argument("--split", default="count:365", help="holdout split (default last year)")
-    parser.add_argument("--season", type=int, default=7, help="seasonal period in days")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers")
-    parser.add_argument("--seed", type=int, default=0, help="optimizer seed")
-    args = parser.parse_args()
-    if not args.input:
+    parser.add_argument("--split", help="holdout split")
+    parser.add_argument("--season", type=int, help="seasonal period in days")
+    parser.add_argument("--jobs", type=int, help="parallel workers for the report grids")
+    parser.add_argument("--seed", type=int, help="optimizer seed")
+    args = vars(parser.parse_args())
+    if not args["input"]:
         parser.error("give --input or set DEMANDCAST_DATA")
 
-    common = [
-        "--input", args.input,
-        "--out-dir", args.out_dir,
-        "--season", str(args.season),
-        "--seed", str(args.seed),
-    ]
-    stages = [
-        ["ingest", *common],
-        ["diagnose", *common],
-        ["report", *common, "--split", args.split, "--jobs", str(args.jobs)],
-    ]
-    for argv in stages:
+    for stage, names in STAGES.items():
+        argv = [stage]
+        for name in ("input", "out_dir", *names):
+            if name in args:
+                argv += ["--" + name.replace("_", "-"), str(args[name])]
         print(f"$ demandcast {' '.join(argv)}", flush=True)
         code = main(argv)
         if code != 0:

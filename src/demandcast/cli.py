@@ -2,10 +2,13 @@
 
 Subcommands: ingest, diagnose, fit, search, report, forecast.  Each setting
 is one field of :class:`RunConfig`, which declares its flag, config-file key,
-default and checks.  Configuration precedence is command-line flags over
-config-file entries over built-in defaults; the output directory additionally
-falls back to the DEMANDCAST_OUT environment variable.  Exit codes: 0 success,
-1 usage, 2 bad input, 3 data insufficiency, 4 numerical failure.
+default, checks and the commands whose flag it is; any command rejects the
+flag of a setting it does not read, while one config file may serve every
+command (each key is validated, whether the command reads it or not).
+Configuration precedence is command-line flags over config-file entries over
+built-in defaults; the output directory additionally falls back to the
+DEMANDCAST_OUT environment variable.  Exit codes: 0 success, 1 usage, 2 bad
+input, 3 data insufficiency, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -118,9 +121,13 @@ class RunConfig:
     input: Path | None = _setting(None, "raw daily CSV to ingest", _optional_path)
     out_dir: Path = _setting(Path("demandcast_out"), f"output directory (or ${OUT_ENV})", Path)
     split: SplitSpec = _setting(
-        default_split(), "train/test split: count:N, frac:F or date:YYYY-MM-DD", SplitSpec.parse
+        default_split(), "train/test split: count:N, frac:F or date:YYYY-MM-DD", SplitSpec.parse,
+        commands=("fit", "search", "report"),
     )
-    season: int = _setting(7, "seasonal period in days", _integer, minimum=1)
+    season: int = _setting(
+        7, "seasonal period in days", _integer, minimum=1,
+        commands=("diagnose", "fit", "search", "report"),
+    )
     grid: str | None = _setting(
         None, "candidate grid to evaluate", choices=(*GRID_KINDS, "stepwise"),
         commands=("search", "report"),
@@ -132,9 +139,15 @@ class RunConfig:
     impute: str | None = _setting(
         None, "imputation dataset selection", choices=(*(s.value for s in ImputationStrategy), "all")
     )
-    seed: int = _setting(0, "seed for optimizer restarts", _integer, minimum=0)
-    format: str = _setting("md", "stdout table format", choices=("md", "csv"))
-    jobs: int = _setting(1, "parallel workers for grid evaluation", _integer, minimum=1)
+    seed: int = _setting(
+        0, "seed for optimizer restarts", _integer, minimum=0,
+        commands=("fit", "search", "report"),
+    )
+    format: str = _setting("md", "stdout table format", choices=("md", "csv"), commands=("search",))
+    jobs: int = _setting(
+        1, "parallel workers for grid evaluation", _integer, minimum=1,
+        commands=("search", "report"),
+    )
     horizon: int = _setting(7, "days ahead to forecast", _integer, minimum=1, commands=("forecast",))
     model: Path | None = _setting(
         None, "serialized fit file (default OUT/model.txt)", _optional_path, commands=("forecast",)

@@ -335,7 +335,7 @@ def test_criterion_9_seasonal_grid_dominates(real_records):
             row.test_mape
             for table in report.tables
             if table.grid == grid_name
-            for row in table.results
+            for row in table.results.rows
             if not row.failed
             and math.isfinite(row.test_mape)
             and row.spec.is_seasonal == seasonal

@@ -1,11 +1,20 @@
 import datetime as dt
 import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURE_CSV
-from demandcast import SarimaFit, SarimaParams, SarimaSpec, __version__, load_fit
+from demandcast import (
+    RankedResults,
+    SarimaFit,
+    SarimaParams,
+    SarimaSpec,
+    StudyReport,
+    __version__,
+    load_fit,
+)
 from demandcast.cli import main
 
 FIX = str(FIXTURE_CSV)
@@ -44,12 +53,51 @@ class TestParsing:
             ("fit", "--input", FIX, "--spec", "oops"),
             ("fit", "--input", FIX, "--split", "count:-3", "--spec", "1,0,0"),
             ("fit", "--input", FIX, "--season", "0", "--spec", "1,0,0"),
-            ("fit", "--input", FIX, "--jobs", "0", "--spec", "1,0,0"),
+            ("search", "--input", FIX, "--jobs", "0", "--spec", "1,0,0"),
             ("search", "--input", FIX, "--grid", "everything"),
         ],
     )
     def test_bad_values_exit_one(self, argv, tmp_path):
         assert run(*argv, "--out-dir", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command, flags in [
+                ("ingest", ("split", "season", "seed", "format", "jobs")),
+                ("diagnose", ("split", "seed", "format", "jobs")),
+                ("fit", ("format", "jobs")),
+                ("report", ("format",)),
+                ("forecast", ("split", "season", "seed", "format", "jobs")),
+            ]
+            for flag in flags
+        ],
+    )
+    def test_flag_of_a_setting_the_command_does_not_read(self, command, flag, capsys, tmp_path):
+        value = {"split": "count:9", "season": "30", "seed": "3", "format": "csv", "jobs": "4"}[flag]
+        out = tmp_path / "out"
+        # a spec makes fit and report otherwise valid, so only the flag is at fault
+        spec = ("--spec", "1,0,0") if command in ("fit", "report") else ()
+        assert run(command, "--input", FIX, "--out-dir", str(out), *spec, f"--{flag}", value) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    def test_each_command_lists_only_the_flags_it_reads(self, capsys):
+        common = {"--input", "--out-dir", "--impute", "--config", "--print-config"}
+        expected = {
+            "ingest": set(),
+            "diagnose": {"--season"},
+            "fit": {"--split", "--season", "--seed", "--spec", "--allow-nonconverged"},
+            "search": {"--split", "--season", "--seed", "--format", "--jobs", "--grid", "--spec"},
+            "report": {"--split", "--season", "--seed", "--jobs", "--grid", "--spec"},
+            "forecast": {"--horizon", "--model"},
+        }
+        for command, flags in expected.items():
+            with pytest.raises(SystemExit):
+                run(command, "--help")
+            listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+            assert listed - {"--help"} == common | flags, command
 
     def test_missing_input_flag(self, capsys, tmp_path):
         assert run("ingest", "--out-dir", str(tmp_path)) == 1
@@ -77,7 +125,7 @@ class TestPrintConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 5, "season": 14}))
         assert run(
-            "diagnose", "--input", FIX, "--out-dir", str(tmp_path),
+            "search", "--input", FIX, "--out-dir", str(tmp_path),
             "--config", str(cfg), "--seed", "6", "--print-config",
         ) == 0
         out = capsys.readouterr().out
@@ -340,6 +388,31 @@ class TestReport:
         assert "## mean (stepwise)" in (tmp_path / "report.md").read_text()
         # one dataset, so its results file holds the same rows as the report
         assert (tmp_path / "mean_results.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+
+
+class TestFixedGrids:
+    def test_report_and_search_pass_the_fixed_grids(self, tmp_path, monkeypatch):
+        import demandcast.cli as cli_mod
+
+        seen = []
+
+        def fake_run_study(records, split_spec, grids, seed=0, jobs=1, strategies=()):
+            seen.append([(g.name, len(g.specs)) for g in grids])
+            return StudyReport(tables=(), split=split_spec, seed=seed)
+
+        def fake_evaluate_grid(series, split_spec, candidates, seed=0, jobs=1):
+            seen.append([(candidates.name, len(candidates.specs))])
+            return RankedResults(rows=(), ranking_key="test_mape")
+
+        monkeypatch.setattr(cli_mod, "run_study", fake_run_study)
+        monkeypatch.setattr(cli_mod, "evaluate_grid", fake_evaluate_grid)
+        base = ("--input", FIX, "--out-dir", str(tmp_path), "--split", "count:60")
+        assert run("report", *base) == 0
+        assert run("search", *base, "--grid", "sarima-table") == 0
+        assert seen == [
+            [("arima-table", 14), ("sarima-table", 11)],
+            [("sarima-table", 11)],
+        ]
 
 
 class TestForecast:

@@ -209,6 +209,15 @@ class TestStepwise:
         ranked = stepwise_search(walk, config)
         assert all(r.spec.d == 0 for r in ranked.rows)
 
+    def test_short_series_falls_back_to_second_differences(self):
+        # 40 days is below the differencing recommendation's 50-day minimum
+        walk = make_series(np.cumsum(np.random.default_rng(43).normal(size=40)) + 50.0)
+        config = StepwiseConfig(max_p=1, max_q=1, seasonal=False, max_steps=1)
+        with pytest.warns(UserWarning, match="differencing recommendation failed.*using d=2"):
+            ranked = stepwise_search(walk, config)
+        assert ranked.rows
+        assert all(r.spec.d == 2 for r in ranked.rows)
+
     def test_config_validation(self):
         with pytest.raises(SpecError):
             StepwiseConfig(max_p=-1)
