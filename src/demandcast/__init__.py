@@ -42,6 +42,7 @@ from .pipeline import (
     DatasetBundle,
     ImputationStrategy,
     RawRecord,
+    Records,
     assemble,
     build_all,
     impute,
@@ -81,6 +82,7 @@ __all__ = [
     "NumericalError",
     "RankedResults",
     "RawRecord",
+    "Records",
     "SarimaFit",
     "SarimaParams",
     "SarimaSpec",

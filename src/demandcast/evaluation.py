@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,7 +70,7 @@ class StudyReport:
 
 
 def run_study(
-    records: list[RawRecord],
+    records: Sequence[RawRecord],
     split_spec: SplitSpec,
     grids: list[CandidateSet],
     seed: int = 0,

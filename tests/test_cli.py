@@ -107,6 +107,11 @@ class TestParsing:
         assert run("ingest", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_input_exits_two(self, capsys, tmp_path):
+        assert run("ingest", "--input", str(tmp_path), "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("input error: cannot read input file")
+        assert not (tmp_path / "out").exists()
+
 
 class TestPrintConfig:
     def test_prints_sorted_effective_config(self, capsys, tmp_path):

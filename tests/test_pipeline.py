@@ -14,6 +14,7 @@ from demandcast import (
     ImputationStrategy,
     InsufficientDataError,
     RawRecord,
+    Records,
     assemble,
     build_all,
     impute,
@@ -24,6 +25,7 @@ from demandcast.pipeline import (
     STRATEGY_ORDER,
     _classify_column,
     _parse_date,
+    _parse_dates,
     missing_dates,
     write_bundle_csv,
 )
@@ -97,6 +99,46 @@ def generated_export(n_days: int, seed: int) -> str:
             cells[j] = odd[rng.integers(len(odd))]
         lines.append(",".join([(start + dt.timedelta(days=i)).strftime("%d/%m/%Y")] + cells))
     return "\n".join(lines) + "\n"
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+# forms the parser accepts for every date: zero-padded and single-digit
+# DD/MM/YYYY, ISO, padded with whitespace or NBSP, and a year in non-ASCII
+# digits (which strptime reads there, but not in the day or month)
+DATE_FORMS = (
+    lambda d: f"{d.day:02d}/{d.month:02d}/{d.year:04d}",
+    lambda d: f"{d.day}/{d.month}/{d.year}",
+    dt.date.isoformat,
+    lambda d: f" {d.day:02d}/{d.month:02d}/{d.year:04d}\u00a0",
+    lambda d: f"\t{d.isoformat()} ",
+    lambda d: f"{d.day:02d}/{d.month:02d}/{str(d.year).translate(ARABIC_INDIC)}",
+)
+VALUE_CELLS = (
+    "", "0", "-3.5", "nan", "inf", "-inf", "4,112.5", "1_000", " 3987 ", "\u00a04112.5\u00a0",
+    "n/a", "4112.5", "3.9e3", "  ",
+)
+# cells next to the edge of the DD/MM/YYYY path: impossible calendar dates and
+# valid neighbours, wrong separators or lengths, non-ASCII digits
+DATE_EDGES = (
+    "31/02/2020", "30/02/2020", "29/02/2019", "29/02/1900", "29/02/2100", "00/05/2020",
+    "05/00/2020", "05/13/2020", "31/04/2021", "32/01/2020", "01/01/0000", "99/99/9999",
+    "29/02/2020", "29/02/2000", "31/12/9999", "01/01/0001", "31/01/2021", "30/04/2021",
+    "05-03-2021", "05/03-2021", "5/03/20210", "2021-02-29", "05/03/2021\x00", "",
+    "05/03/٢٠٢١", "٠٥/٠٣/٢٠٢١", "０５/０３/２０２１",
+)
+
+
+def date_cell(dates=st.dates()):
+    return st.builds(lambda d, form: form(d), dates, st.sampled_from(DATE_FORMS))
+
+
+def export_text(rows: list[list[str]]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(FULL_HEADER.split(","))
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 class TestParseRecords:
@@ -189,6 +231,96 @@ class TestParseRecords:
         assert len(records) > 3600
         assert records == reference_records(text)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.builds(
+            lambda date, cells, width: [date, *cells][:width],
+            date_cell(st.dates(dt.date(1900, 1, 1), dt.date(2100, 12, 31))),
+            st.lists(st.sampled_from(VALUE_CELLS), min_size=7, max_size=7),
+            st.integers(2, 8),
+        ),
+        min_size=1, max_size=20,
+    ))
+    def test_mixed_cells_match_reference_parse(self, rows):
+        text = export_text(rows)
+        records = parse_records(text.encode())
+        expected = reference_records(text)
+        assert len(records) == len(expected) == len(rows)
+        assert records == expected and expected == records
+        assert [r.extras for r in records] == [r.extras for r in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from(DATE_EDGES),
+            date_cell(),
+            st.text(alphabet="0123456789/- ٠٣", max_size=12),
+        ),
+        max_size=30,
+    ))
+    def test_vectorised_dates_match_strptime(self, cells):
+        expected = [0 if (d := strptime_date(c)) is None else d.toordinal() for c in cells]
+        assert _parse_dates(cells).tolist() == expected
+
+    @pytest.mark.parametrize("cell", DATE_EDGES)
+    def test_date_edges_give_strptimes_date_or_the_row_error(self, cell):
+        data = csv_bytes("date,max demand", "01/01/2020,1", f"{cell},2")
+        expected = strptime_date(cell)
+        if expected is None:
+            with pytest.raises(DataError) as err:
+                parse_records(data)
+            assert str(err.value) == f"row 3: unparseable date {cell!r}"
+        else:
+            assert parse_records(data)[1].date == expected
+
+    @pytest.mark.parametrize(
+        "tail,message",
+        [
+            (("02/01/2020",), "row 6: too few columns (1)"),
+            (("31/02/2020,4100",), "row 6: unparseable date '31/02/2020'"),
+            (("31/02/2020,4100", "02/01/2020"), "row 6: unparseable date '31/02/2020'"),
+            (("02/01/2020", "31/02/2020,4100"), "row 6: too few columns (1)"),
+        ],
+    )
+    def test_error_row_is_the_readers_line_not_the_record_index(self, tail, message):
+        # the quoted cell spans lines 2-3, lines 4 and 5 are blank rows
+        data = csv_bytes(
+            "date,max demand,energy met", '01/01/2020,4000,"two\nlines"', "", " , ", *tail
+        )
+        with pytest.raises(DataError) as err:
+            parse_records(data)
+        assert str(err.value) == message
+
+    def test_duplicate_date_names_the_first_repeat_in_file_order(self):
+        data = csv_bytes(
+            "date,max demand", "03/01/2020,3", "01/01/2020,1", "02/01/2020,2", "02/01/2020,4", "01/01/2020,5"
+        )
+        records = parse_records(data)
+        assert len(records) == 5
+        with pytest.raises(DataError) as err:
+            assemble(records)
+        assert str(err.value) == "duplicate record for 2020-01-02"
+
+    def test_records_are_a_read_only_sequence_of_raw_records(self):
+        text = generated_export(60, seed=2)
+        records = parse_records(text.encode())
+        expected = reference_records(text)
+        assert isinstance(records, Records)
+        assert list(records) == expected
+        assert records[-1] == expected[-1]
+        assert records[5:17:3] == expected[5:17:3]
+        assert isinstance(records[5:17:3], Records)
+        assert records != expected[:-1]
+        assert records.index(expected[7]) == 7
+        with pytest.raises(IndexError):
+            records[len(expected)]
+        with pytest.raises(TypeError):
+            records[0] = expected[1]
+
+    def test_directory_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read input file"):
+            parse_records(tmp_path)
+
     @pytest.mark.parametrize("cell", ["", "abc", "0", "-5", "inf", "nan"])
     def test_bad_demand_becomes_absent(self, cell):
         data = csv_bytes("date,max demand", f"2020-01-01,{cell}", "2020-01-02,7")
@@ -271,6 +403,12 @@ class TestAssemble:
         ]
         with pytest.raises(DataError, match="duplicate"):
             assemble(records)
+
+    def test_columnar_and_list_records_assemble_identically(self):
+        records = parse_records(generated_export(3713, seed=4).encode())
+        columnar, listed = assemble(records), assemble(list(records))
+        assert columnar.start_date == listed.start_date
+        assert columnar.values.tobytes() == listed.values.tobytes()
 
     def test_unsorted_input_is_accepted(self):
         records = [
