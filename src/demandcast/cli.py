@@ -21,13 +21,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ._version import VERSION
-from .diagnostics import (
-    acf,
-    overdifferencing_risk,
-    pacf,
-    recommend_differencing,
-    unit_root_profile,
-)
+from .diagnostics import _recommended_order, _unit_root_tests, acf, overdifferencing_risk, pacf
 from .errors import (
     DataError,
     DemandcastError,
@@ -69,7 +63,7 @@ from .selection import (
     fixed_grid,
     stepwise_search,
 )
-from .series import DifferenceSpec, SplitSpec, default_split, difference, split
+from .series import SplitSpec, default_split, split
 
 OUT_ENV = "DEMANDCAST_OUT"
 
@@ -337,18 +331,17 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
-def _correlogram_rows(series, max_d: int = 1):
-    rows = []
-    for d in range(max_d + 1):
-        w = series if d == 0 else difference(series, DifferenceSpec(d=d))
+def _correlogram_lines(tests) -> list[str]:
+    """Correlogram CSV lines of the series differenced 0 and 1 times, as ``tests`` holds them."""
+    lines = ["diff_order,lag,acf,pacf,band"]
+    for d, w, _ in tests[:2]:
         max_lag = min(40, len(w) // 2 - 1)
         if max_lag < 1:
             raise InsufficientDataError("series too short for a correlogram")
-        a = acf(w, max_lag)
-        p = pacf(w, max_lag)
-        for lag in range(1, max_lag + 1):
-            rows.append((d, lag, a.values[lag - 1], p.values[lag - 1], a.band))
-    return rows
+        a, p = acf(w, max_lag), pacf(w, max_lag)
+        for lag, av, pv in zip(range(1, max_lag + 1), a.values, p.values):
+            lines.append(f"{d},{lag},{av:.10g},{pv:.10g},{a.band:.10g}")
+    return lines
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
@@ -359,11 +352,11 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     for strategy in strategies:
         bundle = impute(base, strategy)
         series = bundle.series
-        profile = unit_root_profile(series, max_d=2)
+        tests = list(_unit_root_tests(series))
         print(f"== {bundle.name} ==")
         print("  d  statistic   p-value     lags  nobs   underflow")
         adf_lines = ["diff_order,statistic,p_value,used_lags,n_effective,regression,p_underflow"]
-        for d, res in profile:
+        for d, _, res in tests:
             mark = "*" if res.p_value_clamped else ""
             print(
                 f"  {d}  {res.statistic:9.3f}   {res.p_value:.3e}  {res.used_lags:4d}  "
@@ -374,25 +367,18 @@ def cmd_diagnose(cfg: RunConfig) -> int:
                 f"{res.n_effective},{res.regression},{'true' if res.p_value_clamped else 'false'}"
             )
         (out / f"{bundle.name}_adf.csv").write_text("\n".join(adf_lines) + "\n", encoding="utf-8")
-        top_d, top_res = profile[-1]
-        if top_d >= 2 and overdifferencing_risk(top_res):
-            print(
-                f"  over-differencing risk: d={top_d} p-value underflows "
-                f"({top_res.p_value:.3g})"
-            )
+        top_d, _, top_res = tests[-1]
+        if overdifferencing_risk(top_res):
+            print(f"  over-differencing risk: d={top_d} p-value underflows ({top_res.p_value:.3g})")
         if len(series) > 2 * cfg.season:
             strength = acf(series, cfg.season).values[cfg.season - 1]
             print(f"  seasonal strength (lag-{cfg.season} autocorrelation): {strength:.3f}")
         try:
-            rec = recommend_differencing(series, s=cfg.season)
-            print(f"  recommended differencing: d={rec.d}")
+            print(f"  recommended differencing: d={_recommended_order(series, tests)}")
         except DemandcastError as exc:
             print(f"  differencing recommendation unavailable: {exc}")
-        corr_lines = ["diff_order,lag,acf,pacf,band"]
-        for d, lag, av, pv, band in _correlogram_rows(series):
-            corr_lines.append(f"{d},{lag},{av:.10g},{pv:.10g},{band:.10g}")
         (out / f"{bundle.name}_correlogram.csv").write_text(
-            "\n".join(corr_lines) + "\n", encoding="utf-8"
+            "\n".join(_correlogram_lines(tests)) + "\n", encoding="utf-8"
         )
         print(f"  wrote {out / f'{bundle.name}_adf.csv'} and {out / f'{bundle.name}_correlogram.csv'}")
     return 0

@@ -2,7 +2,8 @@
 
 Covers the augmented Dickey-Fuller unit-root test with AIC lag selection,
 autocorrelation and partial-autocorrelation estimates with confidence bands,
-and a differencing-order recommendation built on repeated ADF tests.
+and a differencing-order recommendation; both the unit-root profile and the
+recommendation draw their ADF tests from one lazy loop over orders.
 """
 
 from __future__ import annotations
@@ -235,18 +236,22 @@ def pacf(series: TimeSeries, max_lag: int) -> CorrelogramResult:
     return CorrelogramResult(kind="pacf", values=_pacf_values(x, max_lag), band=1.96 / np.sqrt(n))
 
 
+def _unit_root_tests(series: TimeSeries, max_d: int = 2, regression: str = "c"):
+    """Lazily yield (d, the series differenced d times, its ADF result) for d = 0..max_d."""
+    for d in range(max_d + 1):
+        w = series if d == 0 else difference(series, DifferenceSpec(d=d))
+        yield d, w, adf_test(w, regression=regression)
+
+
 def unit_root_profile(
     series: TimeSeries, max_d: int = 2, regression: str = "c"
 ) -> list[tuple[int, AdfResult]]:
     """ADF results for the series differenced 0..max_d times."""
-    out = []
-    for d in range(max_d + 1):
-        w = series if d == 0 else difference(series, DifferenceSpec(d=d))
-        out.append((d, adf_test(w, regression=regression)))
-    return out
+    return [(d, result) for d, _, result in _unit_root_tests(series, max_d, regression)]
 
 
 OVERDIFFERENCE_P = 1e-6
+_ALPHA = 0.05
 
 
 def overdifferencing_risk(result: AdfResult) -> bool:
@@ -259,7 +264,31 @@ def overdifferencing_risk(result: AdfResult) -> bool:
     return result.p_value < OVERDIFFERENCE_P
 
 
-def recommend_differencing(series: TimeSeries, s: int = 7, alpha: float = 0.05) -> DifferenceSpec:
+def _recommended_order(series: TimeSeries, tests, alpha: float = _ALPHA) -> int:
+    """First order in ``tests`` (from :func:`_unit_root_tests`) rejecting at ``alpha``; draws no further."""
+    if len(series) < 50:
+        raise InsufficientDataError(
+            f"differencing recommendation needs at least 50 observations, got {len(series)}"
+        )
+    if not 0 < alpha < 1:
+        raise SpecError(f"alpha must be in (0, 1), got {alpha}")
+    for d, w, result in tests:
+        if result.p_value < alpha:
+            lag1 = acf(w, 1).values[0]
+            if lag1 < -0.5:
+                warnings.warn(
+                    f"d={d} rejects the unit root but lag-1 autocorrelation is "
+                    f"{lag1:.3f}; the series may be over-differenced",
+                    stacklevel=3,
+                )
+            return d
+    raise InsufficientDataError(
+        "no differencing order up to 2 achieves stationarity at the "
+        f"{alpha:g} level; the series resists unit-root modelling"
+    )
+
+
+def recommend_differencing(series: TimeSeries, s: int = 7, alpha: float = _ALPHA) -> DifferenceSpec:
     """Smallest d in 0..2 whose ADF test rejects the unit root at ``alpha``.
 
     Only regular differencing is recommended; the seasonal period is carried
@@ -267,25 +296,4 @@ def recommend_differencing(series: TimeSeries, s: int = 7, alpha: float = 0.05) 
     (lag-1 autocorrelation below -0.5) a warning is issued rather than an
     error, since the recommendation is still the smallest admissible order.
     """
-    if len(series) < 50:
-        raise InsufficientDataError(
-            f"differencing recommendation needs at least 50 observations, got {len(series)}"
-        )
-    if not 0 < alpha < 1:
-        raise SpecError(f"alpha must be in (0, 1), got {alpha}")
-    for d in range(3):
-        w = series if d == 0 else difference(series, DifferenceSpec(d=d))
-        result = adf_test(w)
-        if result.p_value < alpha:
-            lag1 = acf(w, 1).values[0]
-            if lag1 < -0.5:
-                warnings.warn(
-                    f"d={d} rejects the unit root but lag-1 autocorrelation is "
-                    f"{lag1:.3f}; the series may be over-differenced",
-                    stacklevel=2,
-                )
-            return DifferenceSpec(d=d, D=0, s=s)
-    raise InsufficientDataError(
-        "no differencing order up to 2 achieves stationarity at the "
-        f"{alpha:g} level; the series resists unit-root modelling"
-    )
+    return DifferenceSpec(d=_recommended_order(series, _unit_root_tests(series), alpha), D=0, s=s)

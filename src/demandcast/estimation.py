@@ -811,8 +811,8 @@ def save_fit(fit_result: SarimaFit, path: str | Path, metadata: dict[str, str] |
         f"converged={'true' if fit_result.converged else 'false'}",
     ]
     for key, value in (metadata or {}).items():
-        if "=" in key or "\n" in key or "\n" in str(value):
-            raise SpecError(f"metadata key/value must be single-line, got {key!r}")
+        if "=" in key or any(s != s.strip() or len(s.splitlines()) > 1 for s in (key, str(value))):
+            raise SpecError(f"metadata key/value must be single-line and unpadded, got {key!r}: {value!r}")
         lines.append(f"meta.{key}={value}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

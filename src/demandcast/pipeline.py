@@ -233,7 +233,7 @@ def _has_data(row: list[str]) -> bool:
 
 def _line_of(text: str, record: int) -> int:
     """The reader's ``line_num`` at data row ``record``, counting only rows with data."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     for _ in islice(filter(_has_data, reader), record + 2):  # + 2: the header, then rows 0..record
         pass
     return reader.line_num
@@ -288,8 +288,12 @@ def parse_records(source) -> Records:
     :class:`Records`.
     """
     text = _read_text(source)
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        rows = list(filter(_has_data, reader))
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError("input is empty: no header row")
     columns: list[str | None] = [_classify_column(cell) for cell in header]
@@ -300,7 +304,6 @@ def parse_records(source) -> Records:
         )
     date_idx = columns.index("date")
     demand_idx = columns.index("max_demand_mw")
-    rows = list(filter(_has_data, reader))
     if not rows:
         raise DataError("input has a header but no data rows")
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))

@@ -36,5 +36,15 @@ def seasonal_series() -> TimeSeries:
     return simulate(spec, params, n=700, seed=5, start_date=START)
 
 
+@pytest.fixture
+def adf_calls(monkeypatch) -> list[int]:
+    """Lengths of the series ``adf_test`` runs on, in call order, for the test's duration."""
+    from demandcast import diagnostics
+
+    calls, real = [], diagnostics.adf_test
+    monkeypatch.setattr(diagnostics, "adf_test", lambda w, **kw: calls.append(len(w)) or real(w, **kw))
+    return calls
+
+
 def make_series(values, start: dt.date = START) -> TimeSeries:
     return TimeSeries(start, np.asarray(values, dtype=float))

@@ -242,6 +242,21 @@ class TestIngest:
         assert run("ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")) == 2
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    def test_cr_only_line_endings_are_read(self, capsys, tmp_path):
+        src = tmp_path / "cr.csv"
+        src.write_bytes(b"date,max demand\r01/01/2020,5\r02/01/2020,6\r")
+        assert run("ingest", "--input", str(src), "--out-dir", str(tmp_path / "o")) == 0
+        assert "calendar days: 2" in capsys.readouterr().out
+        assert (tmp_path / "o" / "interp.csv").read_text().splitlines()[1:] == [
+            "2020-01-01,5", "2020-01-02,6"
+        ]
+
+    def test_oversized_cell_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "big.csv"
+        src.write_text('date,max demand\n01/01/2020,"' + "x" * 200_000 + '"\n')
+        assert run("ingest", "--input", str(src), "--out-dir", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("input error: row 2: field larger than field limit")
+
 
 class TestDiagnose:
     def test_writes_adf_and_correlogram_tables(self, capsys, tmp_path):
@@ -261,6 +276,12 @@ class TestDiagnose:
         assert "recommended differencing" in stdout
         assert "seasonal strength" in stdout
         assert "over-differencing risk: d=2" in stdout
+
+    def test_runs_each_unit_root_test_once(self, capsys, tmp_path, adf_calls):
+        assert run("diagnose", "--input", FIX, "--out-dir", str(tmp_path), "--impute", "all") == 0
+        # d = 0, 1, 2 on each of the five datasets; the recommendation reuses them
+        assert adf_calls == [406, 405, 404] + [420, 419, 418] * 4
+        assert capsys.readouterr().out.count("recommended differencing: d=") == 5
 
     def test_short_series_exits_three(self, capsys, tmp_path):
         src = tmp_path / "short.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from demandcast.diagnostics import (
     default_max_lag,
     unit_root_profile,
 )
+from demandcast.series import DifferenceSpec, difference
 
 
 def random_walk(n: int, seed: int) -> np.ndarray:
@@ -281,6 +284,11 @@ class TestRecommendDifferencing:
         series = simulate(SarimaSpec(1, 0, 0), SarimaParams(ar=(0.5,)), n=400, seed=15)
         assert recommend_differencing(series).d == 0
 
+    def test_stops_at_the_first_rejecting_order(self, adf_calls):
+        series = simulate(SarimaSpec(1, 0, 0), SarimaParams(ar=(0.5,)), n=400, seed=15)
+        assert recommend_differencing(series).d == 0
+        assert adf_calls == [400]
+
     def test_random_walk_needs_one(self):
         series = make_series(random_walk(400, seed=16))
         assert recommend_differencing(series).d == 1
@@ -294,10 +302,39 @@ class TestRecommendDifferencing:
         # autocorrelation near -2/3, the classic over-differencing signature
         eps = np.random.default_rng(18).normal(size=402)
         x = np.diff(np.diff(eps))
-        with pytest.warns(UserWarning, match="over-differenc"):
+        with pytest.warns(UserWarning, match="over-differenc") as record:
             spec = recommend_differencing(make_series(x))
         assert spec.d == 0
+        # the warning points at the caller's line
+        assert record[0].filename == __file__
 
     def test_too_short_raises(self):
         with pytest.raises(InsufficientDataError):
             recommend_differencing(make_series(np.arange(30.0)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["ar1", "random walk", "double", "over-differenced"]),
+        n=st.integers(50, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_the_profile(self, kind, n, seed):
+        if kind == "ar1":
+            x = simulate(SarimaSpec(1, 0, 0), SarimaParams(ar=(0.5,)), n=n, seed=seed).values
+        elif kind == "over-differenced":  # the warning's case, as in the test above
+            x = np.diff(np.random.default_rng(seed).normal(size=n + 2), n=2)
+        else:
+            x = random_walk(n, seed)
+            x = np.cumsum(x) if kind == "double" else x
+        series = make_series(x)
+        first = next((d for d, res in unit_root_profile(series) if res.p_value < 0.05), None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if first is None:
+                with pytest.raises(InsufficientDataError, match="no differencing order"):
+                    recommend_differencing(series)
+                return
+            assert recommend_differencing(series).d == first
+        w = series if first == 0 else difference(series, DifferenceSpec(d=first))
+        warned = [c for c in caught if "over-differenc" in str(c.message)]
+        assert len(warned) == (1 if acf(w, 1).values[0] < -0.5 else 0)

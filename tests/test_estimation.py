@@ -738,6 +738,16 @@ class TestSaveLoad:
         with pytest.raises(SpecError):
             save_fit(result, tmp_path / "m.txt", metadata={"note": "a\nb"})
 
+    @pytest.mark.parametrize("where", ["key", "value"])
+    @pytest.mark.parametrize("text", ["a\rb", "a\x0bb", "a\x1cb", "a\u2028b", "x "])
+    def test_metadata_that_would_not_read_back_is_rejected(self, tmp_path, ar1_series, text, where):
+        # load_fit splits on every str.splitlines boundary and strips each line
+        result = fit(SarimaSpec(0, 0, 0), ar1_series)
+        metadata = {text: "v"} if where == "key" else {"note": text}
+        with pytest.raises(SpecError):
+            save_fit(result, tmp_path / "m.txt", metadata=metadata)
+        assert not (tmp_path / "m.txt").exists()
+
 
 def make_fit(spec: SarimaSpec, params: SarimaParams) -> "object":
     """A SarimaFit carrying fixed parameters, for forecasting at known values."""

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,51 @@ class TestParseRecords:
         with pytest.raises(DataError) as err:
             parse_records(data)
         assert str(err.value) == message
+
+    @staticmethod
+    def sources(text: str, tmp_path) -> list:
+        """The export as bytes, a byte stream, a text stream and a path."""
+        path = tmp_path / "export.csv"
+        path.write_bytes(text.encode())
+        return [text.encode(), io.BytesIO(text.encode()), io.StringIO(text), path]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings_and_sources_give_equal_records(self, ending, tmp_path):
+        # the generated export has quoted cells; one more spans two lines
+        text = generated_export(90, seed=4) + '01/07/2013,4000,"a\nb"\n'
+        expected = parse_records(text.encode())
+        assert len(expected) > 80
+        for source in self.sources(text.replace("\n", ending), tmp_path):
+            assert parse_records(source) == expected
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "tail,message",
+        [
+            (("02/01/2020",), "row 6: too few columns (1)"),
+            (("31/02/2020,4100",), "row 6: unparseable date '31/02/2020'"),
+        ],
+    )
+    def test_error_rows_agree_across_line_endings(self, ending, tail, message, tmp_path):
+        # as above: the quoted cell spans lines 2-3, lines 4 and 5 are blank rows
+        text = "\n".join(["date,max demand,energy met", '01/01/2020,4000,"two\nlines"', "", " , ", *tail])
+        for source in self.sources((text + "\n").replace("\n", ending), tmp_path):
+            with pytest.raises(DataError) as err:
+                parse_records(source)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (("date,max demand", "01/01/2020,5", '02/01/2020,"{big}"'), "row 3: field larger than field limit"),
+            (('date,max demand,"{big}"', "01/01/2020,5"), "row 1: field larger than field limit"),
+        ],
+        ids=["row", "header"],
+    )
+    def test_csv_reader_errors_are_data_errors(self, rows, message):
+        big = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(DataError, match=re.escape(message)):
+            parse_records(csv_bytes(*(row.replace("{big}", big) for row in rows)))
 
     def test_duplicate_date_names_the_first_repeat_in_file_order(self):
         data = csv_bytes(
