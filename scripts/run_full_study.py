@@ -14,7 +14,8 @@ The input CSV comes from --input or the DEMANDCAST_DATA environment
 variable, and the outputs go to --out-dir (default study_out).  Every other
 option is passed only to the stages that read it, and only when given, so
 the CLI's defaults are the only defaults.  A full run covers 125 model fits;
-expect minutes, not seconds, and use --jobs to spread the grid across cores.
+expect minutes, not seconds.  --jobs spreads every fit of the report stage
+across that many worker processes, all from one process pool.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def run() -> int:
     parser.add_argument("--out-dir", default="study_out", help="output directory")
     parser.add_argument("--split", help="holdout split")
     parser.add_argument("--season", type=int, help="seasonal period in days")
-    parser.add_argument("--jobs", type=int, help="parallel workers for the report grids")
+    parser.add_argument("--jobs", type=int, help="worker processes for the report's fits")
     parser.add_argument("--seed", type=int, help="optimizer seed")
     args = vars(parser.parse_args())
     if not args["input"]:

@@ -59,9 +59,9 @@ from .selection import (
     GRID_KINDS,
     CandidateSet,
     StepwiseConfig,
+    _stepwise_holdout,
     evaluate_grid,
     fixed_grid,
-    stepwise_search,
 )
 from .series import SplitSpec, default_split, split
 
@@ -139,7 +139,7 @@ class RunConfig:
     )
     format: str = _setting("md", "stdout table format", choices=("md", "csv"), commands=("search",))
     jobs: int = _setting(
-        1, "parallel workers for grid evaluation", _integer, minimum=1,
+        1, "worker processes for every fit, stepwise searches per dataset included", _integer, minimum=1,
         commands=("search", "report"),
     )
     horizon: int = _setting(7, "days ahead to forecast", _integer, minimum=1, commands=("forecast",))
@@ -291,14 +291,12 @@ def _single_bundle(cfg: RunConfig, default: str):
     return impute(assemble(records), strategy)
 
 
-def _grids(cfg: RunConfig, default: tuple[str, ...]) -> list[CandidateSet] | None:
-    """Candidate sets from --spec, else --grid, else ``default``; None means stepwise."""
+def _grids(cfg: RunConfig, default: tuple[str, ...]) -> list[CandidateSet | StepwiseConfig]:
+    """Grids from --spec, else --grid, else ``default``; ``stepwise`` searches at --season."""
     if cfg.spec:
         return [CandidateSet(specs=cfg.spec, source="explicit", name="explicit")]
     kinds = (cfg.grid,) if cfg.grid else default
-    if kinds == ("stepwise",):
-        return None
-    return [fixed_grid(kind) for kind in kinds]
+    return [StepwiseConfig(s=cfg.season) if kind == "stepwise" else fixed_grid(kind) for kind in kinds]
 
 
 # ---------------------------------------------------------------------------
@@ -416,41 +414,19 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def _stepwise_holdout(bundle, cfg: RunConfig):
-    """Stepwise search on the training side, then its winner evaluated on the split.
-
-    Returns (stepwise ranking, holdout results of the winner).
-    """
-    train, _ = split(bundle.series, cfg.split)
-    ranked = stepwise_search(train, StepwiseConfig(s=cfg.season), seed=cfg.seed)
-    best = ranked.best
-    if best is None:
-        raise NumericalError(f"stepwise search produced no usable candidate on {bundle.name}")
-    holdout = evaluate_grid(
-        bundle.series, cfg.split,
-        CandidateSet(specs=(best.spec,), source="stepwise", name="stepwise"),
-        seed=cfg.seed, jobs=cfg.jobs,
-    )
-    return ranked, holdout
-
-
 def cmd_search(cfg: RunConfig) -> int:
     """evaluate a candidate grid or run the stepwise search"""
     bundle = _single_bundle(cfg, "drop")
     out = _ensure_out(cfg)
-    grids = _grids(cfg, ("stepwise",))
-    if grids is None:
-        ranked, holdout = _stepwise_holdout(bundle, cfg)
-        table = StudyTable(dataset=bundle.name, grid="stepwise", results=ranked)
-        best = ranked.best
-        print(f"stepwise winner on {bundle.name}: {best.spec.label()} (aic {best.aic:.3f})")
-        row = holdout.rows[0]
+    (grid,) = _grids(cfg, ("stepwise",))
+    if isinstance(grid, StepwiseConfig):
+        ranked, row = _stepwise_holdout(grid, *split(bundle.series, cfg.split), cfg.seed, bundle.name)
+        print(f"stepwise winner on {bundle.name}: {row.spec.label()} (aic {ranked.best.aic:.3f})")
         if not row.failed:
             print(f"holdout test MAPE: {row.test_mape:.3f}")
     else:
-        (candidates,) = grids
-        ranked = evaluate_grid(bundle.series, cfg.split, candidates, seed=cfg.seed, jobs=cfg.jobs)
-        table = StudyTable(dataset=bundle.name, grid=candidates.name, results=ranked)
+        ranked = evaluate_grid(bundle.series, cfg.split, grid, seed=cfg.seed, jobs=cfg.jobs)
+    table = StudyTable(dataset=bundle.name, grid=grid.name, results=ranked)
     report = StudyReport(tables=(table,), split=cfg.split, seed=cfg.seed)
     sys.stdout.write(render_report(report, cfg.format).decode("utf-8"))
     write_results_csv([table], out / f"{bundle.name}_results.csv")
@@ -463,20 +439,9 @@ def cmd_report(cfg: RunConfig) -> int:
     """full study: every grid on every imputation dataset"""
     records, strategies = _load(cfg, "all")
     out = _ensure_out(cfg)
-    grids = _grids(cfg, GRID_KINDS)
-    if grids is None:
-        # one stepwise winner per dataset, evaluated on the common split
-        base = assemble(records)
-        tables = []
-        for strategy in strategies:
-            bundle = impute(base, strategy)
-            _, holdout = _stepwise_holdout(bundle, cfg)
-            tables.append(StudyTable(dataset=bundle.name, grid="stepwise", results=holdout))
-        report = StudyReport(tables=tuple(tables), split=cfg.split, seed=cfg.seed)
-    else:
-        report = run_study(
-            records, cfg.split, grids, seed=cfg.seed, jobs=cfg.jobs, strategies=strategies
-        )
+    report = run_study(
+        records, cfg.split, _grids(cfg, GRID_KINDS), seed=cfg.seed, jobs=cfg.jobs, strategies=strategies
+    )
     paths = write_study_outputs(report, out)
     best = report.best_model
     if best is not None:

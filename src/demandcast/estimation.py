@@ -825,6 +825,7 @@ def load_fit(path: str | Path) -> tuple[SarimaFit, dict[str, str]]:
     pairs: dict[str, str] = {}
     metadata: dict[str, str] = {}
     coeffs: dict[str, dict[int, float]] = {"ar": {}, "ma": {}, "seasonal_ar": {}, "seasonal_ma": {}}
+    seen: set[str] = set()
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -832,6 +833,9 @@ def load_fit(path: str | Path) -> tuple[SarimaFit, dict[str, str]]:
         key, sep, value = line.partition("=")
         if not sep:
             raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: repeated key {key!r}")
+        seen.add(key)
         if key.startswith("meta."):
             metadata[key[5:]] = value
             continue
@@ -843,6 +847,12 @@ def load_fit(path: str | Path) -> tuple[SarimaFit, dict[str, str]]:
                 raise DataError(f"{path}:{lineno}: bad coefficient line: {exc}") from exc
             continue
         pairs[key] = value
+
+    def boolean(key: str) -> bool:
+        if pairs[key] not in ("true", "false"):
+            raise DataError(f"fit file {path}: {key} must be true or false, got {pairs[key]!r}")
+        return pairs[key] == "true"
+
     try:
         fmt, _, version = pairs["format"].partition("/")
         if fmt != FIT_FORMAT or int(version) > FIT_FORMAT_VERSION:
@@ -850,7 +860,7 @@ def load_fit(path: str | Path) -> tuple[SarimaFit, dict[str, str]]:
         order = [int(v) for v in pairs["spec"].split(",")]
         spec = SarimaSpec(
             p=order[0], d=order[1], q=order[2], P=order[3], D=order[4], Q=order[5], s=order[6],
-            with_intercept=pairs["with_intercept"] == "true",
+            with_intercept=boolean("with_intercept"),
         )
         blocks = {}
         for name, want in (("ar", spec.p), ("ma", spec.q), ("seasonal_ar", spec.P), ("seasonal_ma", spec.Q)):
@@ -866,14 +876,17 @@ def load_fit(path: str | Path) -> tuple[SarimaFit, dict[str, str]]:
             seasonal_ma=blocks["seasonal_ma"],
             sigma2=float(pairs["sigma2"]),
         )
+        n_obs = int(pairs["n_obs"])
+        if n_obs < 0:
+            raise DataError(f"fit file {path}: n_obs must be >= 0, got {n_obs}")
         fit_result = SarimaFit(
             spec=spec,
             params=params,
             loglik=float(pairs["loglik"]),
             aic=float(pairs["aic"]),
             bic=float(pairs["bic"]),
-            n_obs=int(pairs["n_obs"]),
-            converged=pairs["converged"] == "true",
+            n_obs=n_obs,
+            converged=boolean("converged"),
             residuals=None,
         )
     except KeyError as exc:

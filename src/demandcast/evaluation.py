@@ -20,7 +20,7 @@ from ._version import VERSION
 from .errors import SpecError
 from .metrics import FitMetrics, mape  # re-exported: metric API lives here
 from .pipeline import STRATEGY_ORDER, ImputationStrategy, RawRecord, assemble, impute
-from .selection import CandidateSet, EvaluationRow, RankedResults, evaluate_grid
+from .selection import CandidateSet, EvaluationRow, RankedResults, StepwiseConfig, _grid_tasks, _run_tasks
 from .series import SplitSpec
 
 __all__ = [
@@ -72,24 +72,31 @@ class StudyReport:
 def run_study(
     records: Sequence[RawRecord],
     split_spec: SplitSpec,
-    grids: list[CandidateSet],
+    grids: list[CandidateSet | StepwiseConfig],
     seed: int = 0,
     jobs: int = 1,
     strategies: tuple[ImputationStrategy, ...] = STRATEGY_ORDER,
 ) -> StudyReport:
     """Evaluate every grid on the imputation dataset of each strategy, all five by default.
 
-    A dataset whose fits all fail is kept in the report (flagged by the
-    renderer) rather than aborting the study.
+    A :class:`StepwiseConfig` grid tables each dataset's stepwise winner on
+    the holdout.  All fits of the study share one process pool when
+    ``jobs > 1``, and the report does not depend on ``jobs``.  A dataset
+    whose fits all fail is kept in the report (flagged by the renderer).
     """
     if not grids:
         raise SpecError("run_study needs at least one candidate grid")
     base = assemble(records)
+    bundles = [impute(base, strategy) for strategy in strategies]
+    pairs = [(bundle, grid) for bundle in bundles for grid in grids]
+    tasks = [_grid_tasks(bundle.series, split_spec, grid, seed, bundle.name) for bundle, grid in pairs]
+    results = iter(_run_tasks([task for pair_tasks in tasks for task in pair_tasks], jobs))
     tables = []
-    for bundle in (impute(base, strategy) for strategy in strategies):
-        for grid in grids:
-            results = evaluate_grid(bundle.series, split_spec, grid, seed=seed, jobs=jobs)
-            tables.append(StudyTable(dataset=bundle.name, grid=grid.name, results=results))
+    for (bundle, grid), pair_tasks in zip(pairs, tasks):
+        rows = [next(results) for _ in pair_tasks]
+        if isinstance(grid, StepwiseConfig):  # its task returns (ranking, holdout row of the winner)
+            rows = [rows[0][1]]
+        tables.append(StudyTable(bundle.name, grid.name, RankedResults(tuple(rows), "test_mape")))
     return StudyReport(tables=tuple(tables), split=split_spec, seed=seed)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -168,6 +169,29 @@ def _evaluate_candidate(
         )
 
 
+def _call(task: tuple):
+    function, *args = task
+    return function(*args)
+
+
+def _run_tasks(tasks: list[tuple], jobs: int) -> list:
+    """Results of ``(function, *args)`` tasks in submission order: from one process pool
+    of ``min(jobs, len(tasks))`` workers, or in this process when that is at most one."""
+    if jobs < 1:
+        raise SpecError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [_call(task) for task in tasks]
+    # forked workers inherit loaded modules: load the likelihood and
+    # optimizer stack once here rather than in every worker
+    import scipy.linalg  # noqa: F401
+    import scipy.optimize  # noqa: F401
+    import scipy.signal  # noqa: F401
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_call, tasks))
+
+
 def evaluate_grid(
     series: TimeSeries,
     split_spec: SplitSpec,
@@ -178,26 +202,10 @@ def evaluate_grid(
 ) -> RankedResults:
     """Fit every candidate on the train side and rank by holdout accuracy.
 
-    With ``jobs > 1`` candidates are fitted in parallel processes, at most
-    one per candidate, and in this process when that leaves one; results
-    are aggregated in submission order, so the ranking is identical either
-    way.
+    The one-dataset case of a study: with ``jobs > 1`` candidates are fitted
+    in parallel processes, and the ranking is identical either way.
     """
-    train, test = split(series, split_spec)
-    specs = list(candidates.specs)
-    workers = min(jobs, len(specs))
-    if workers > 1:
-        # forked workers inherit loaded modules: load the likelihood and
-        # optimizer stack once here rather than in every worker of every pool
-        import scipy.linalg  # noqa: F401
-        import scipy.optimize  # noqa: F401
-        import scipy.signal  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_candidate, specs, [train] * len(specs),
-                                 [test] * len(specs), [seed] * len(specs)))
-    else:
-        rows = [_evaluate_candidate(spec, train, test, seed) for spec in specs]
+    rows = _run_tasks(_grid_tasks(series, split_spec, candidates, seed, ""), jobs)
     return RankedResults(rows=tuple(rows), ranking_key=ranking_key)
 
 
@@ -205,6 +213,7 @@ def evaluate_grid(
 class StepwiseConfig:
     """Caps and fixed orders for the stepwise search."""
 
+    name: ClassVar[str] = "stepwise"
     max_p: int = 5
     max_q: int = 5
     max_P: int = 2
@@ -298,3 +307,23 @@ def stepwise_search(
     if all(row.failed for row in rows):
         raise NumericalError("stepwise search: no candidate could be fitted")
     return RankedResults(rows=rows, ranking_key="aic")
+
+
+def _stepwise_holdout(
+    config: StepwiseConfig, train: TimeSeries, test: TimeSeries, seed: int, dataset: str
+) -> tuple[RankedResults, EvaluationRow]:
+    """Stepwise search on the training side: its ranking and the holdout row of its winner."""
+    ranked = stepwise_search(train, config, seed=seed)
+    if ranked.best is None:
+        raise NumericalError(f"stepwise search produced no usable candidate on {dataset}")
+    return ranked, _evaluate_candidate(ranked.best.spec, train, test, seed)
+
+
+def _grid_tasks(
+    series: TimeSeries, split_spec: SplitSpec, grid: CandidateSet | StepwiseConfig, seed: int, dataset: str
+) -> list[tuple]:
+    """Runner tasks of one grid on one series: a fit per candidate, or one stepwise search."""
+    train, test = split(series, split_spec)
+    if isinstance(grid, StepwiseConfig):
+        return [(_stepwise_holdout, grid, train, test, seed, dataset)]
+    return [(_evaluate_candidate, spec, train, test, seed) for spec in grid.specs]

@@ -46,5 +46,22 @@ def adf_calls(monkeypatch) -> list[int]:
     return calls
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """Worker counts of the process pools the task runner starts, for the test's duration."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from demandcast import selection
+
+    sizes = []
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(selection, "ProcessPoolExecutor", recording_pool)
+    return sizes
+
+
 def make_series(values, start: dt.date = START) -> TimeSeries:
     return TimeSeries(start, np.asarray(values, dtype=float))

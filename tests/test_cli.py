@@ -7,10 +7,12 @@ import pytest
 
 from conftest import FIXTURE_CSV
 from demandcast import (
+    CandidateSet,
     RankedResults,
     SarimaFit,
     SarimaParams,
     SarimaSpec,
+    StepwiseConfig,
     StudyReport,
     __version__,
     load_fit,
@@ -189,7 +191,7 @@ class TestPrintConfig:
         def no_fitting(*args, **kwargs):
             raise AssertionError("a model was fitted before the settings were checked")
 
-        for name in ("fit", "evaluate_grid", "run_study", "stepwise_search"):
+        for name in ("fit", "evaluate_grid", "run_study", "_stepwise_holdout"):
             monkeypatch.setattr(cli_mod, name, no_fitting)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(settings))
@@ -415,6 +417,24 @@ class TestReport:
         # one dataset, so its results file holds the same rows as the report
         assert (tmp_path / "mean_results.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
 
+    def test_stepwise_study_runs_in_one_pool_and_matches_serial(self, tmp_path, pool_sizes):
+        # the header and the first 160 days keep five stepwise searches to a few seconds
+        short = tmp_path / "short.csv"
+        short.write_text("".join(FIXTURE_CSV.read_text().splitlines(keepends=True)[:161]))
+        written = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(
+                "report", "--input", str(short), "--out-dir", str(out), "--grid", "stepwise",
+                "--season", "1", "--split", "count:30", "--jobs", jobs,
+            ) == 0
+            written[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+        # five stepwise searches, one per dataset, in one pool of two workers
+        assert pool_sizes == [2]
+        datasets = ("dropna", "mean", "median", "mode", "interp")
+        assert sorted(written["1"]) == sorted(["report.md", "report.csv", *(f"{d}_results.csv" for d in datasets)])
+        assert written["2"] == written["1"]
+
 
 class TestFixedGrids:
     def test_report_and_search_pass_the_fixed_grids(self, tmp_path, monkeypatch):
@@ -423,7 +443,7 @@ class TestFixedGrids:
         seen = []
 
         def fake_run_study(records, split_spec, grids, seed=0, jobs=1, strategies=()):
-            seen.append([(g.name, len(g.specs)) for g in grids])
+            seen.append([(g.name, len(g.specs)) if isinstance(g, CandidateSet) else g for g in grids])
             return StudyReport(tables=(), split=split_spec, seed=seed)
 
         def fake_evaluate_grid(series, split_spec, candidates, seed=0, jobs=1):
@@ -435,9 +455,11 @@ class TestFixedGrids:
         base = ("--input", FIX, "--out-dir", str(tmp_path), "--split", "count:60")
         assert run("report", *base) == 0
         assert run("search", *base, "--grid", "sarima-table") == 0
+        assert run("report", *base, "--grid", "stepwise", "--season", "1") == 0
         assert seen == [
             [("arima-table", 14), ("sarima-table", 11)],
             [("sarima-table", 11)],
+            [StepwiseConfig(s=1)],
         ]
 
 

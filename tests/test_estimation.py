@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 import warnings
 
 import numpy as np
@@ -725,6 +726,25 @@ class TestSaveLoad:
         text = path.read_text().replace("/1", "/99", 1)
         path.write_text(text)
         with pytest.raises(DataError, match="format"):
+            load_fit(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace("converged=true", "converged=yes"), "converged must be"),
+            (lambda text: text.replace("with_intercept=true", "with_intercept=1"), "with_intercept must be"),
+            (lambda text: re.sub(r"n_obs=\d+", "n_obs=-5", text), "n_obs must be"),
+            (lambda text: text + "mean=5\n", "repeated key 'mean'"),
+        ],
+        ids=["converged", "with_intercept", "n_obs", "repeated"],
+    )
+    def test_malformed_value_is_rejected(self, tmp_path, ar1_series, edit, message):
+        result = fit(SarimaSpec(1, 0, 0), ar1_series)
+        assert result.converged and result.spec.with_intercept
+        path = tmp_path / "model.txt"
+        save_fit(result, path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(DataError, match=message):
             load_fit(path)
 
     def test_garbage_file_is_rejected(self, tmp_path):

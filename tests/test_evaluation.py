@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,22 @@ class TestRunStudy:
     def test_requires_a_grid(self, fixture_records):
         with pytest.raises(SpecError):
             run_study(fixture_records, SplitSpec.by_count(60), [])
+
+    def test_one_process_pool_per_study(self, fixture_records, pool_sizes):
+        other = CandidateSet(specs=(SarimaSpec(0, 0, 1), SarimaSpec(1, 1, 0)), source="explicit", name="other")
+        grids = [FAST_GRID, other]
+        serial = run_study(fixture_records, SplitSpec.by_count(60), grids, jobs=1)
+        pooled = run_study(fixture_records, SplitSpec.by_count(60), grids, jobs=2)
+        # 5 datasets x 2 grids, 20 fits, one pool
+        assert pool_sizes == [2]
+        assert [(t.dataset, t.grid) for t in pooled.tables] == [(t.dataset, t.grid) for t in serial.tables]
+        rows = [[pickle.dumps(r) for t in report.tables for r in t.results.rows] for report in (serial, pooled)]
+        assert len(rows[0]) == 20 and rows[1] == rows[0]
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_rejects_fewer_than_one_job(self, fixture_records, jobs):
+        with pytest.raises(SpecError, match="jobs"):
+            run_study(fixture_records, SplitSpec.by_count(60), [FAST_GRID], jobs=jobs)
 
 
 class TestClassifyRow:

@@ -1,5 +1,4 @@
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from demandcast import (
     simulate,
     stepwise_search,
 )
-from demandcast import selection
 from demandcast.selection import ARIMA_TABLE_ORDERS, EvaluationRow, SARIMA_TABLE_ORDERS
 
 
@@ -144,24 +142,22 @@ class TestEvaluateGrid:
         parallel = evaluate_grid(ar1_series, SplitSpec.by_count(60), self.candidates, jobs=2)
         assert serial == parallel
 
-    def test_pool_is_sized_to_the_candidates(self, ar1_series, monkeypatch):
+    def test_pool_is_sized_to_the_candidates(self, ar1_series, pool_sizes):
         split_spec = SplitSpec.by_count(60)
         one = CandidateSet(specs=(SarimaSpec(0, 1, 1),), source="explicit")
         serial_one = evaluate_grid(ar1_series, split_spec, one, jobs=1)
         serial_all = evaluate_grid(ar1_series, split_spec, self.candidates, jobs=1)
-        started = []
-
-        def recording_pool(max_workers):
-            started.append(max_workers)
-            return ProcessPoolExecutor(max_workers=max_workers)
-
-        monkeypatch.setattr(selection, "ProcessPoolExecutor", recording_pool)
         pooled_one = evaluate_grid(ar1_series, split_spec, one, jobs=8)
         pooled_all = evaluate_grid(ar1_series, split_spec, self.candidates, jobs=8)
         # one candidate runs in this process; three get three workers, not eight
-        assert started == [3]
+        assert pool_sizes == [3]
         assert pickle.dumps(pooled_one.rows) == pickle.dumps(serial_one.rows)
         assert pickle.dumps(pooled_all.rows) == pickle.dumps(serial_all.rows)
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_rejects_fewer_than_one_job(self, ar1_series, jobs):
+        with pytest.raises(SpecError, match="jobs"):
+            evaluate_grid(ar1_series, SplitSpec.by_count(60), self.candidates, jobs=jobs)
 
     def test_infeasible_candidate_becomes_error_row(self):
         series = make_series(np.random.default_rng(40).normal(size=13) + 10.0)
