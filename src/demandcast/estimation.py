@@ -11,6 +11,13 @@ the data gives the conditional-mean forecasts (Brockwell & Davis 1991,
 5.3).  The innovation variance is profiled out in closed form so the
 optimizer only searches the ARMA coefficients.
 
+The autocovariances of the first p values come from the stationary state
+covariance, solved by the LAPACK calls of SciPy's bilinear Lyapunov method
+(``dgees``, ``dtrsyl``) made directly, with the same arithmetic and without
+SciPy's Python layers.  Each likelihood pass of :func:`fit` maps optimizer
+coordinates straight to the expanded polynomials; only the final pass builds
+and checks :class:`SarimaParams`.
+
 Optimization runs in an unconstrained space: each coefficient block is
 parameterized by partial autocorrelations kappa = (1 - KAPPA_MARGIN) tanh(z).
 A bare tanh saturates to exactly +-1 in floating point, which puts a root on
@@ -24,7 +31,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -174,13 +181,12 @@ def _check_dims(spec: SarimaSpec, params: SarimaParams) -> None:
         )
 
 
-def _seasonal_poly(coeffs: tuple[float, ...], s: int, sign: float) -> np.ndarray:
-    """Lag polynomial 1 + sign*c1*B^s + sign*c2*B^2s + ... as dense coefficients."""
-    poly = np.zeros(len(coeffs) * s + 1)
-    poly[0] = 1.0
-    for i, c in enumerate(coeffs, start=1):
-        poly[i * s] = sign * c
-    return poly
+def _lag_product(regular: np.ndarray, seasonal: np.ndarray, s: int) -> np.ndarray:
+    """Coefficients after lag 0 of (1 + sum_i regular_i B^i)(1 + sum_j seasonal_j B^(j s))."""
+    seasonal_poly = np.zeros(seasonal.size * s + 1)
+    seasonal_poly[0] = 1.0
+    seasonal_poly[s::s] = seasonal
+    return np.convolve(np.concatenate(([1.0], regular)), seasonal_poly)[1:]
 
 
 def expand_polynomials(spec: SarimaSpec, params: SarimaParams) -> tuple[np.ndarray, np.ndarray]:
@@ -190,13 +196,10 @@ def expand_polynomials(spec: SarimaSpec, params: SarimaParams) -> tuple[np.ndarr
     ``w_t = sum_i ar[i-1] w_{t-i} + e_t + sum_j ma[j-1] e_{t-j}``.
     """
     _check_dims(spec, params)
-    ar_poly = np.concatenate(([1.0], -np.asarray(params.ar, dtype=float)))
-    sar_poly = _seasonal_poly(params.seasonal_ar, spec.s, -1.0)
-    full_ar = np.convolve(ar_poly, sar_poly)
-    ma_poly = np.concatenate(([1.0], np.asarray(params.ma, dtype=float)))
-    sma_poly = _seasonal_poly(params.seasonal_ma, spec.s, +1.0)
-    full_ma = np.convolve(ma_poly, sma_poly)
-    return -full_ar[1:], full_ma[1:]
+    ar, ma, seasonal_ar, seasonal_ma = (
+        np.asarray(block, dtype=float) for block in (params.ar, params.ma, params.seasonal_ar, params.seasonal_ma)
+    )
+    return -_lag_product(-ar, -seasonal_ar, spec.s), _lag_product(ma, seasonal_ma, spec.s)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +241,30 @@ KAPPA_MARGIN = 1e-6
 KAPPA_SCALE = 1.0 - KAPPA_MARGIN
 
 
-def _z_to_params(z: np.ndarray, spec: SarimaSpec, mean: float = 0.0, sigma2: float = 1.0) -> SarimaParams:
-    """Parameters at optimizer coordinates z, ordered ar, ma, seasonal_ar, seasonal_ma."""
+def _z_blocks(z: np.ndarray, spec: SarimaSpec) -> list[np.ndarray]:
+    """Lag-polynomial coefficients c of each block at optimizer coordinates z.
+
+    Blocks are ordered ar, ma, seasonal_ar, seasonal_ma, and each polynomial
+    is 1 + sum_i c_i B^i, so an AR block is the negated recursion form.
+    """
     blocks = []
     pos = 0
-    for size, is_ma in ((spec.p, False), (spec.q, True), (spec.P, False), (spec.Q, True)):
-        coeffs = pacf_to_coeffs(KAPPA_SCALE * np.tanh(z[pos: pos + size]))
-        blocks.append(tuple(-coeffs if is_ma else coeffs))
+    for size in (spec.p, spec.q, spec.P, spec.Q):
+        blocks.append(-pacf_to_coeffs(KAPPA_SCALE * np.tanh(z[pos: pos + size])) if size else np.zeros(0))
         pos += size
-    ar, ma, seasonal_ar, seasonal_ma = blocks
-    return SarimaParams(
-        mean=mean, ar=ar, ma=ma, seasonal_ar=seasonal_ar, seasonal_ma=seasonal_ma, sigma2=sigma2
-    )
+    return blocks
+
+
+def _z_to_polynomials(z: np.ndarray, spec: SarimaSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``expand_polynomials(spec, _z_to_params(z, spec))`` without building or checking parameters."""
+    ar, ma, seasonal_ar, seasonal_ma = _z_blocks(z, spec)
+    return -_lag_product(ar, seasonal_ar, spec.s), _lag_product(ma, seasonal_ma, spec.s)
+
+
+def _z_to_params(z: np.ndarray, spec: SarimaSpec) -> SarimaParams:
+    """Coefficients at optimizer coordinates z, with zero mean and unit innovation variance."""
+    ar, ma, seasonal_ar, seasonal_ma = _z_blocks(z, spec)
+    return SarimaParams(ar=tuple(-ar), ma=tuple(ma), seasonal_ar=tuple(-seasonal_ar), seasonal_ma=tuple(seasonal_ma))
 
 
 def _block_admissible(coeffs: tuple[float, ...], is_ma: bool) -> bool:
@@ -322,23 +337,58 @@ LYAPUNOV_RTOL = 1e-14
 LYAPUNOV_REFINEMENTS = 3
 
 
+def _no_sort(wr: float, wi: float) -> None:
+    """Eigenvalue selector for ``dgees``, which leaves the Schur form unsorted."""
+
+
 def _stationary_state_cov(tcol: np.ndarray, rvec: np.ndarray) -> np.ndarray:
     """Solve P = T P T' + R R' for the stationary initial state covariance.
+
+    Each pass does the arithmetic of ``scipy.linalg.solve_discrete_lyapunov``
+    with ``method="bilinear"``, in its order, without its Python layers: the
+    transform B = (T' - I)(T' + I)^-1 turns X = T X T' + Q into the
+    continuous equation B'X + XB = -2 (T + I)^-1 Q (T' + I)^-1, which the
+    real Schur form of B' (``dgees``) and ``dtrsyl`` solve (Bartels-Stewart).
+    B and its Schur form depend on T only, so the passes share them.
 
     The bilinear solver stays fast at large state dimensions but loses
     digits when T has an eigenvalue near -1; each refinement pass solves for
     the correction that cancels the current residual, for at most
     LYAPUNOV_REFINEMENTS passes.
     """
+    lapack = scipy.linalg.lapack
     T = _companion_matrix(tcol)
     Q = np.outer(rvec, rvec)
+    eye = np.eye(tcol.size)
+    try:
+        tt_inv = np.linalg.inv(T.T + eye)
+        b = np.dot(T.T - eye, tt_inv)
+        t_inv = np.linalg.inv(T + eye)
+    except np.linalg.LinAlgError as exc:  # T has an eigenvalue -1
+        raise NumericalError(f"stationary covariance solve failed: {exc}") from exc
+    if not np.isfinite(b).all():
+        raise NumericalError("stationary covariance solve failed: the bilinear transform is not finite")
+    lwork = int(lapack.dgees(_no_sort, b.T, lwork=-1)[-2][0])
+    s, _, _, _, u, _, info = lapack.dgees(_no_sort, b.T, lwork=lwork)
+    if info != 0:
+        raise NumericalError(f"stationary covariance solve failed: no Schur form (LAPACK dgees info {info})")
     P0 = np.zeros_like(Q)
     residual = Q
     for _ in range(LYAPUNOV_REFINEMENTS + 1):
-        try:
-            step = scipy.linalg.solve_discrete_lyapunov(T, residual, method="bilinear")
-        except Exception as exc:
-            raise NumericalError(f"stationary covariance solve failed: {exc}") from exc
+        c = 2 * np.dot(np.dot(t_inv, residual), tt_inv)
+        if not np.isfinite(c).all():
+            raise NumericalError("stationary covariance solve failed: non-finite right-hand side")
+        y, scale, info = lapack.dtrsyl(s, s, u.T.dot((-c).dot(u)), tranb="T")
+        if info < 0:
+            raise NumericalError(f"stationary covariance solve failed: LAPACK dtrsyl info {info}")
+        if info == 1:
+            warnings.warn(
+                'Input "a" has an eigenvalue pair whose sum is very close to or exactly zero. '
+                "The solution is obtained via perturbing the coefficients.",
+                RuntimeWarning, stacklevel=2,
+            )
+        y *= scale
+        step = u.dot(y).dot(u.T)
         P0 = P0 + (step + step.T) / 2.0
         if not np.isfinite(P0).all():
             raise NumericalError("stationary covariance solve returned non-finite values")
@@ -635,8 +685,7 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
         if not np.isfinite(z).all():
             return np.inf
         try:
-            ar_rec, ma_rec = expand_polynomials(spec, _z_to_params(z, spec))
-            v, f = _innovations(wc, ar_rec, ma_rec)
+            v, f = _innovations(wc, *_z_to_polynomials(z, spec))
             ll, _ = _concentrated_loglik(v, f)
         except (NumericalError, FloatingPointError):
             return np.inf
@@ -664,10 +713,10 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
         z_best = best.x
         converged = bool(best.success)
 
-    ar_rec, ma_rec = _admissible_polynomials(spec, _z_to_params(z_best, spec))
-    v, f = _innovations(wc, ar_rec, ma_rec)
+    params = _z_to_params(z_best, spec)
+    v, f = _innovations(wc, *_admissible_polynomials(spec, params))
     loglik, sigma2 = _concentrated_loglik(v, f)
-    params = _z_to_params(z_best, spec, mu, sigma2)
+    params = replace(params, mean=mu, sigma2=sigma2)
     k = spec.k_params
     return SarimaFit(
         spec=spec,

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +29,15 @@ from demandcast import (
 )
 from demandcast.estimation import (
     KAPPA_SCALE,
+    LYAPUNOV_REFINEMENTS,
+    LYAPUNOV_RTOL,
     MAX_EXPANDED_ORDER,
+    _companion_matrix,
     _innovations,
+    _state_space,
+    _stationary_state_cov,
     _z_to_params,
+    _z_to_polynomials,
     coeffs_to_pacf,
     default_horizon_cap,
     is_invertible,
@@ -131,6 +138,27 @@ class TestExpandPolynomials:
         ar_rec, ma_rec = expand_polynomials(spec, params)
         np.testing.assert_allclose(ar_rec, [0.5, -0.2])
         np.testing.assert_allclose(ma_rec, [0.3])
+
+    @given(
+        orders=st.one_of(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0), st.just(0), st.just(1)),
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2), st.just(7)),
+        ),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_objective_path_is_bit_equal_to_validated_path(self, orders, data):
+        # the objective skips SarimaParams; it must still build the same
+        # polynomials, bit for bit, including z = +-20, where kappa sits on
+        # the KAPPA_SCALE bound
+        p, q, P, Q, s = orders
+        spec = SarimaSpec(p, 0, q, P=P, Q=Q, s=s)
+        coordinate = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([-20.0, 20.0]))
+        z = np.array(data.draw(st.lists(coordinate, min_size=p + q + P + Q, max_size=p + q + P + Q)), dtype=float)
+        got = _z_to_polynomials(z, spec)
+        want = expand_polynomials(spec, _z_to_params(z, spec))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestPacfTransform:
@@ -369,6 +397,63 @@ class TestFilterKernel:
         _, f_dense, v_dense = _oracles.kalman_loglik(ar_rec, ma_rec, params.mean, params.sigma2, w)
         np.testing.assert_allclose(f * params.sigma2, f_dense, rtol=1e-12)
         np.testing.assert_allclose(v, v_dense, rtol=0, atol=1e-9 * np.abs(v).max())
+
+
+def _scipy_refined_state_cov(tcol, rvec):
+    """The refinement loop of ``_stationary_state_cov`` around SciPy's bilinear solve, and its pass count."""
+    T = _companion_matrix(tcol)
+    Q = np.outer(rvec, rvec)
+    P0 = np.zeros_like(Q)
+    residual = Q
+    for passes in range(1, LYAPUNOV_REFINEMENTS + 2):
+        step = scipy.linalg.solve_discrete_lyapunov(T, residual, method="bilinear")
+        P0 = P0 + (step + step.T) / 2.0
+        residual = T @ P0 @ T.T + Q - P0
+        if np.abs(residual).max() <= LYAPUNOV_RTOL * (1.0 + np.abs(P0).max()):
+            break
+    return P0, passes
+
+
+class TestLyapunovSolve:
+    @pytest.mark.parametrize(
+        "spec, params, min_passes",
+        [
+            pytest.param(SarimaSpec(1, 0, 0), SarimaParams(ar=(0.5,)), 1, id="r1"),
+            pytest.param(
+                SarimaSpec(2, 0, 0), SarimaParams(ar=tuple(pacf_to_coeffs(np.array([1 - 1e-4, 1 - 1e-4])))), 1,
+                id="ar2-same-1e-04",
+            ),
+            pytest.param(
+                SarimaSpec(2, 0, 0), SarimaParams(ar=tuple(pacf_to_coeffs(np.array([1 - 1e-4, -(1 - 1e-4)])))), 1,
+                id="ar2-opposite-1e-04",
+            ),
+            pytest.param(*NEVER_STEADY_R8, 1, id="r8"),
+            pytest.param(ROLLING_SPEC, ROLLING_PARAMS, 1, id="rolling-r42"),
+            pytest.param(SarimaSpec(0, 0, 0, P=1, s=7), SarimaParams(seasonal_ar=(-0.9999,)), 2, id="sar1-minus-0.9999"),
+        ],
+    )
+    def test_direct_solve_equals_scipy_bilinear(self, spec, params, min_passes):
+        # the solve makes SciPy's LAPACK calls itself; the arithmetic is the
+        # same, so the refined covariance must be equal, not merely close
+        tcol, rvec = _state_space(*expand_polynomials(spec, params))
+        want, passes = _scipy_refined_state_cov(tcol, rvec)
+        assert passes >= min_passes
+        np.testing.assert_array_equal(_stationary_state_cov(tcol, rvec), want)
+
+    def test_perturbed_sylvester_solve_still_warns(self):
+        # roots exp(+-i pi/3) on the unit circle give the transform an
+        # eigenvalue pair that sums to zero, and dtrsyl perturbs it (info 1)
+        tcol, rvec = np.array([1.0, -1.0]), np.array([1.0, 0.0])
+        with pytest.warns(RuntimeWarning, match="eigenvalue pair"):
+            want, _ = _scipy_refined_state_cov(tcol, rvec)
+        with pytest.warns(RuntimeWarning, match="eigenvalue pair"):
+            got = _stationary_state_cov(tcol, rvec)
+        np.testing.assert_array_equal(got, want)
+
+    def test_singular_bilinear_transform_is_a_numerical_error(self):
+        # T = -1 makes I + T singular
+        with pytest.raises(NumericalError):
+            _stationary_state_cov(np.array([-1.0]), np.array([1.0]))
 
 
 # an optimizer coordinate where tanh is saturated: kappa = +-KAPPA_SCALE
