@@ -11,6 +11,15 @@ the data gives the conditional-mean forecasts (Brockwell & Davis 1991,
 5.3).  The innovation variance is profiled out in closed form so the
 optimizer only searches the ARMA coefficients.
 
+When the spec has no regular ARMA terms (p = q = 0, P + Q > 0), every lag
+of the expanded polynomials is a multiple of the season s, and the model is
+s independent ARMA(P,Q) processes, one on each subseries w[j::s].  The
+likelihood then runs at stride g = s: the transformed series is laid out as
+the s columns of a ceil(n/s)-row matrix, and one band covariance of the
+compressed ARMA, of state dimension max(P, Q + 1) rather than
+max(Ps, Qs + 1), is factored once and applies to every column.  Any other
+spec runs at stride 1, which is the same computation on a one-column matrix.
+
 The autocovariances of the first p values come from the stationary state
 covariance, solved by the LAPACK calls of SciPy's bilinear Lyapunov method
 (``dgees``, ``dtrsyl``) made directly, with the same arithmetic and without
@@ -208,14 +217,12 @@ def expand_polynomials(spec: SarimaSpec, params: SarimaParams) -> tuple[np.ndarr
 
 def pacf_to_coeffs(kappa: np.ndarray) -> np.ndarray:
     """Map partial autocorrelations in (-1,1) to stationary AR coefficients."""
-    kappa = np.asarray(kappa, dtype=float)
-    a = np.zeros(kappa.size)
-    for j in range(kappa.size):
-        kj = kappa[j]
-        prev = a[:j].copy()
-        a[:j] = prev - kj * prev[::-1]
-        a[j] = kj
-    return a
+    # plain floats: the blocks are short, and NumPy's per-step overhead
+    # would dominate each Durbin-Levinson step
+    a: list[float] = []
+    for k in np.asarray(kappa, dtype=float).tolist():
+        a = [x - k * y for x, y in zip(a, reversed(a))] + [k]
+    return np.array(a, dtype=float)
 
 
 def coeffs_to_pacf(coeffs: np.ndarray) -> np.ndarray:
@@ -434,35 +441,49 @@ def _band_covariance(ar_rec: np.ndarray, ma_rec: np.ndarray, rows: int) -> np.nd
     return ab
 
 
-def _whiten(w: np.ndarray, ar_rec: np.ndarray, ma_rec: np.ndarray, extra: int = 0):
-    """Band Cholesky factor C of Cov(z) over ``len(w) + extra`` rows, and u with C u = z.
+def _stride(spec: SarimaSpec) -> int:
+    """Spacing g of every lag of the expanded polynomials: s for a pure seasonal ARMA, else 1."""
+    return spec.s if spec.p == spec.q == 0 and spec.P + spec.Q > 0 else 1
 
-    z is Ansley's transform of w (see :func:`_band_covariance`); u solves the
-    leading ``len(w)`` rows, and the ``extra`` rows of C carry the
-    covariance of z beyond the data, for forecasting.
+
+def _whiten(w: np.ndarray, ar_rec: np.ndarray, ma_rec: np.ndarray, stride: int, extra: int = 0):
+    """Band Cholesky factor C of the covariance of one column of z, and U with C U = z.
+
+    z is Ansley's transform of w (see :func:`_band_covariance`), laid out with
+    z_t at (row, column) = divmod(t, stride).  Every lag of ar_rec and ma_rec
+    is a multiple of ``stride``, so the columns are independent ARMAs with
+    the coefficients ar_rec[stride-1::stride] and ma_rec[stride-1::stride],
+    and one factor C over ceil((len(w) + extra) / stride) rows serves them
+    all.  U solves the rows that hold data; a shorter column's zero-padded
+    last row comes after its data, so it cannot change them.  The rows of C
+    beyond the data carry the covariance of z there, for forecasting.
     """
     n, p = w.size, ar_rec.size
     z = np.convolve(w, np.append(1.0, -ar_rec))[:n]
     z[:p] = w[:p]
-    ab = _band_covariance(ar_rec, ma_rec, n + extra)
+    rows = -(-n // stride)
+    zm = np.zeros(rows * stride)
+    zm[:n] = z
+    ab = _band_covariance(ar_rec[stride - 1:: stride], ma_rec[stride - 1:: stride], -(-(n + extra) // stride))
     c, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
     if info != 0:
         raise NumericalError(f"covariance of the series is not positive definite (LAPACK info {info})")
-    u, info = scipy.linalg.lapack.dtbtrs(c[:, :n], z[:, None], uplo="L")
+    u, info = scipy.linalg.lapack.dtbtrs(c[:, :rows], zm.reshape(rows, stride), uplo="L")
     if info != 0 or not np.isfinite(u).all():
         raise NumericalError("triangular solve for the innovations failed")
-    return c, u[:, 0]
+    return c, u
 
 
-def _innovations(w: np.ndarray, ar_rec: np.ndarray, ma_rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact one-step innovations v and their variances f at unit innovation variance.
+def _innovations(w: np.ndarray, ar_rec: np.ndarray, ma_rec: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact one-step innovations v and their variances f at unit innovation variance, in time order.
 
     z differs from w by a combination of past values only, so the one-step
-    prediction errors of z are those of w: v = u * diag(C), f = diag(C)^2.
+    prediction errors of z are those of w: v = U * diag(C), f = diag(C)^2,
+    row by row in every column (see :func:`_whiten`).
     """
-    c, u = _whiten(w, ar_rec, ma_rec)
-    d = c[0]
-    return u * d, d * d
+    c, u = _whiten(w, ar_rec, ma_rec, stride)
+    d = c[0, :, None]
+    return (u * d).ravel()[: w.size], np.repeat(d * d, stride)[: w.size]
 
 
 def _concentrated_loglik(v: np.ndarray, f: np.ndarray) -> tuple[float, float]:
@@ -496,7 +517,7 @@ def log_likelihood(spec: SarimaSpec, params: SarimaParams, series: TimeSeries) -
     w = _prepare(series, spec)
     ar_rec, ma_rec = _admissible_polynomials(spec, params)
     wc = w - params.mean
-    v, f = _innovations(wc, ar_rec, ma_rec)
+    v, f = _innovations(wc, ar_rec, ma_rec, _stride(spec))
     s2 = params.sigma2
     n = v.size
     return float(
@@ -679,13 +700,14 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
     mu = float(w.mean()) if spec.with_intercept else 0.0
     wc = w - mu
     dim = spec.p + spec.q + spec.P + spec.Q
+    stride = _stride(spec)
 
     def objective(z: np.ndarray) -> float:
         # L-BFGS-B has proposed NaN coordinates on near-integrated series
         if not np.isfinite(z).all():
             return np.inf
         try:
-            v, f = _innovations(wc, *_z_to_polynomials(z, spec))
+            v, f = _innovations(wc, *_z_to_polynomials(z, spec), stride)
             ll, _ = _concentrated_loglik(v, f)
         except (NumericalError, FloatingPointError):
             return np.inf
@@ -714,7 +736,7 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
         converged = bool(best.success)
 
     params = _z_to_params(z_best, spec)
-    v, f = _innovations(wc, *_admissible_polynomials(spec, params))
+    v, f = _innovations(wc, *_admissible_polynomials(spec, params), stride)
     loglik, sigma2 = _concentrated_loglik(v, f)
     params = replace(params, mean=mu, sigma2=sigma2)
     k = spec.k_params
@@ -775,16 +797,18 @@ def forecast(
     w = _prepare(series, spec)
     wc = w - params.mean
     ar_rec, ma_rec = _admissible_polynomials(spec, params)
+    g = _stride(spec)
     n, q = wc.size, ma_rec.size
     ahead = min(horizon, q)
-    c, u = _whiten(wc, ar_rec, ma_rec, extra=ahead)
-    # E[z_{n+h} | w] = sum_{s<n} C[n+h, s] u_s (Brockwell & Davis 1991, 5.3);
-    # C[s+k, s] = c[k, s] vanishes for k > q, so z_hat is zero from h = q on
-    h = np.arange(ahead)[:, None]
-    k = np.arange(1, q + 1)
-    s = np.minimum(n + h - k, n - 1)
+    c, u = _whiten(wc, ar_rec, ma_rec, g, extra=ahead)
+    # E[z_{n+h} | w] = sum_{s<n} C[n+h, s] u_s (Brockwell & Davis 1991, 5.3),
+    # summed down the column of n+h in the strided layout of _whiten;
+    # C[s+k, s] = c[k, s] vanishes for k > q/g, so z_hat is zero from h = q on
+    row, col = np.divmod(n + np.arange(ahead)[:, None], g)
+    k = np.arange(1, q // g + 1)
+    s = np.minimum(row - k, u.shape[0] - 1)
     z_hat = np.zeros(horizon)
-    z_hat[:ahead] = np.where(k > h, c[k, s] * u[s], 0.0).sum(axis=1)
+    z_hat[:ahead] = np.where((row - k) * g + col < n, c[k, s] * u[s, col], 0.0).sum(axis=1)
     # a(B) y_t = z_t + phi(1) mean with a(B) = phi(B)(1-B)^d(1-B^s)^D, so each
     # y_{n+h} follows by recursion from the last len(a) - 1 values of the series
     a = _integrated_ar(ar_rec, spec.diff_spec)
@@ -925,6 +949,9 @@ def load_fit(path: str | Path) -> tuple[SarimaFit, dict[str, str]]:
             seasonal_ma=blocks["seasonal_ma"],
             sigma2=float(pairs["sigma2"]),
         )
+        # the one admissibility rule of fit and forecast; its SpecError is a
+        # ValueError, so a model they would refuse is a malformed file here
+        _admissible_polynomials(spec, params)
         n_obs = int(pairs["n_obs"])
         if n_obs < 0:
             raise DataError(f"fit file {path}: n_obs must be >= 0, got {n_obs}")

@@ -8,7 +8,9 @@ direct solve of the Yule-Walker system, predictions through brute-force
 recursion on the ARMA difference equation, the reference Kalman filter
 through a Kronecker-product stationary covariance and a full covariance
 update at every step, the AR(2) likelihood in closed form, and OLS
-t-ratios and the ARMA likelihood in exact rational arithmetic.
+t-ratios and the ARMA likelihood in exact rational arithmetic.  The NumPy
+Durbin-Levinson loop is kept as the bit-exact reference for the library's
+plain-float one.
 """
 
 from __future__ import annotations
@@ -56,6 +58,18 @@ def psi_weights(ar: np.ndarray, ma: np.ndarray, length: int = PSI_LENGTH) -> np.
     psi = signal.lfilter(num, den, imp)
     assert np.max(np.abs(psi[-50:])) < 1e-12, "impulse response not negligible at truncation"
     return psi
+
+
+def pacf_to_coeffs_numpy(kappa: np.ndarray) -> np.ndarray:
+    """AR coefficients from partial autocorrelations by the Durbin-Levinson loop on NumPy slices."""
+    kappa = np.asarray(kappa, dtype=float)
+    a = np.zeros(kappa.size)
+    for j in range(kappa.size):
+        kj = kappa[j]
+        prev = a[:j].copy()
+        a[:j] = prev - kj * prev[::-1]
+        a[j] = kj
+    return a
 
 
 def arma_autocovariance(ar: np.ndarray, ma: np.ndarray, sigma2: float, nlags: int) -> np.ndarray:

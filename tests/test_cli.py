@@ -490,6 +490,15 @@ class TestForecast:
     def test_missing_model_exits_two(self, tmp_path):
         assert run("forecast", "--input", FIX, "--out-dir", str(tmp_path)) == 2
 
+    def test_non_stationary_model_exits_two(self, capsys, tmp_path):
+        self.seed_model(tmp_path)
+        model = tmp_path / "model.txt"
+        model.write_text(re.sub(r"ar\.1=\S+", "ar.1=1.5", model.read_text()))
+        capsys.readouterr()
+        assert run("forecast", "--input", FIX, "--out-dir", str(tmp_path), "--model", str(model)) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "model.txt" in err and "not stationary" in err
+
     def test_explicit_model_path_and_impute_override(self, capsys, tmp_path):
         self.seed_model(tmp_path)
         capsys.readouterr()

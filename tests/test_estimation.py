@@ -27,6 +27,7 @@ from demandcast import (
     save_fit,
     simulate,
 )
+from demandcast import estimation
 from demandcast.estimation import (
     KAPPA_SCALE,
     LYAPUNOV_REFINEMENTS,
@@ -36,6 +37,7 @@ from demandcast.estimation import (
     _innovations,
     _state_space,
     _stationary_state_cov,
+    _stride,
     _z_to_params,
     _z_to_polynomials,
     coeffs_to_pacf,
@@ -44,6 +46,7 @@ from demandcast.estimation import (
     is_stationary,
     pacf_to_coeffs,
 )
+from demandcast.selection import fixed_grid
 from demandcast.series import difference
 
 MA_UNIT_ROOT_CSV = FIXTURE_CSV.parent / "ma_unit_root_train.csv"
@@ -180,6 +183,15 @@ class TestPacfTransform:
     def test_order_one_is_identity(self):
         np.testing.assert_allclose(pacf_to_coeffs(np.array([0.7])), [0.7])
 
+    @pytest.mark.parametrize("size", [*range(8), 40, 84])
+    def test_equals_numpy_recursion(self, size):
+        # the plain-float loop does the NumPy loop's arithmetic in its order
+        rng = np.random.default_rng(size)
+        for _ in range(100):
+            kappa = KAPPA_SCALE * rng.uniform(-1.0, 1.0, size)
+            got, want = pacf_to_coeffs(kappa), _oracles.pacf_to_coeffs_numpy(kappa)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 ROLLING_SPEC = SarimaSpec(0, 0, 0, P=6, D=1, Q=3, s=7)
 ROLLING_PARAMS = SarimaParams(
@@ -194,11 +206,11 @@ NEVER_STEADY_R8 = (
 )
 
 
-def _filter_output(spec, params, series):
-    """Innovations and their variances from the library's likelihood kernel."""
+def _filter_output(spec, params, series, stride):
+    """Innovations and their variances from the library's likelihood kernel at ``stride``."""
     w = difference(series, spec.diff_spec).values if spec.diff_spec.n_dropped else series.values
     ar_rec, ma_rec = expand_polynomials(spec, params)
-    v, f = _innovations(w - params.mean, ar_rec, ma_rec)
+    v, f = _innovations(w - params.mean, ar_rec, ma_rec, stride)
     return w, v, f
 
 
@@ -237,7 +249,7 @@ class TestLogLikelihood:
         ids=["ar1", "ma1", "arma22", "r1", "near-unit-ma", "never-steady-r8", "rolling-r42"],
     )
     def test_matches_joint_gaussian_oracle(self, spec, params, series):
-        w, _, _ = _filter_output(spec, params, series)
+        w, _, _ = _filter_output(spec, params, series, _stride(spec))
         ar_rec, ma_rec = expand_polynomials(spec, params)
         want = _oracles.mvn_loglik(ar_rec, ma_rec, params.mean, params.sigma2, w)
         assert log_likelihood(spec, params, series) == pytest.approx(want, abs=1e-8)
@@ -285,11 +297,15 @@ class TestLogLikelihood:
 
 
 class TestFilterKernel:
-    @pytest.mark.parametrize("case", [NEVER_STEADY_R2, NEVER_STEADY_R8], ids=["r2", "r8"])
-    def test_long_never_steady_run_matches_dense_filter(self, case):
+    # each pure seasonal case runs at the spec's stride and at stride 1
+    @pytest.mark.parametrize(
+        "case, stride", [(NEVER_STEADY_R2, 1), (NEVER_STEADY_R8, 7), (NEVER_STEADY_R8, 1)],
+        ids=["r2", "r8", "r8-stride1"],
+    )
+    def test_long_never_steady_run_matches_dense_filter(self, case, stride):
         spec, params = case
         series = simulate(spec, params, n=3713, seed=42)
-        w, _, f = _filter_output(spec, params, series)
+        w, _, f = _filter_output(spec, params, series, stride)
         # the innovation variance still moves in the last two weeks: a filter
         # with a steady-state shortcut would never switch here
         assert np.ptp(f[-14:]) > 0
@@ -387,16 +403,60 @@ class TestFilterKernel:
         assert log_likelihood(spec, params, walk) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize(
-        "case", [(ROLLING_SPEC, ROLLING_PARAMS), NEVER_STEADY_R8], ids=["rolling-r42", "never-steady-r8"]
+        "case, stride",
+        [((ROLLING_SPEC, ROLLING_PARAMS), 7), (NEVER_STEADY_R8, 7), ((ROLLING_SPEC, ROLLING_PARAMS), 1),
+         (NEVER_STEADY_R8, 1)],
+        ids=["rolling-r42", "never-steady-r8", "rolling-r42-stride1", "never-steady-r8-stride1"],
     )
-    def test_innovations_match_dense_filter(self, case):
+    def test_innovations_match_dense_filter(self, case, stride):
         spec, params = case
         series = simulate(spec, params, n=400, seed=46)
-        w, v, f = _filter_output(spec, params, series)
+        w, v, f = _filter_output(spec, params, series, stride)
         ar_rec, ma_rec = expand_polynomials(spec, params)
         _, f_dense, v_dense = _oracles.kalman_loglik(ar_rec, ma_rec, params.mean, params.sigma2, w)
         np.testing.assert_allclose(f * params.sigma2, f_dense, rtol=1e-12)
         np.testing.assert_allclose(v, v_dense, rtol=0, atol=1e-9 * np.abs(v).max())
+
+
+PURE_SEASONAL_ROWS = [spec for spec in fixed_grid("sarima-table").specs if spec.p == spec.q == 0]
+SEASONAL_AR_PACF = (0.6, -0.3, 0.2, -0.1, 0.05, -0.02)
+SEASONAL_MA_PACF = (0.5, -0.25, 0.1, -0.05, 0.02, -0.01)
+
+
+class TestStride:
+    def test_only_pure_seasonal_specs_are_strided(self):
+        assert len(PURE_SEASONAL_ROWS) == 8
+        assert all(_stride(spec) == 7 for spec in PURE_SEASONAL_ROWS)
+        for spec in (SarimaSpec(1, 0, 0, P=6, Q=3, s=7), SarimaSpec(0, 0, 1, P=1, s=7), SarimaSpec(2, 1, 1),
+                     SarimaSpec(0, 0, 0, D=1, s=7)):
+            assert _stride(spec) == 1
+
+    @pytest.mark.parametrize("spec", PURE_SEASONAL_ROWS, ids=lambda spec: spec.label())
+    def test_strided_kernel_equals_stride_one(self, spec, monkeypatch):
+        # 733 days leave 733 or 726 differenced values, neither a multiple of
+        # the season, so the last row of some columns is padding
+        params = SarimaParams(
+            mean=1.0 if spec.with_intercept else 0.0,
+            seasonal_ar=tuple(pacf_to_coeffs(np.array(SEASONAL_AR_PACF[: spec.P]))),
+            seasonal_ma=tuple(-pacf_to_coeffs(np.array(SEASONAL_MA_PACF[: spec.Q]))),
+            sigma2=2.0,
+        )
+        series = simulate(spec, params, n=733, seed=48)
+        horizons = (1, 14, 56)
+
+        def kernel_output(stride):
+            _, v, f = _filter_output(spec, params, series, stride)
+            fcs = [forecast(make_fit(spec, params), series, horizon=h).point for h in horizons]
+            return v, f, log_likelihood(spec, params, series), fcs
+
+        v, f, loglik, fcs = kernel_output(7)
+        monkeypatch.setattr(estimation, "_stride", lambda spec: 1)
+        v1, f1, loglik1, fcs1 = kernel_output(1)
+        np.testing.assert_allclose(f, f1, rtol=1e-12)
+        np.testing.assert_allclose(v, v1, rtol=1e-12, atol=1e-12 * np.abs(v1).max())
+        assert loglik == pytest.approx(loglik1, rel=1e-12)
+        for got, want in zip(fcs, fcs1):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def _scipy_refined_state_cov(tcol, rvec):
@@ -820,8 +880,9 @@ class TestSaveLoad:
             (lambda text: text.replace("with_intercept=true", "with_intercept=1"), "with_intercept must be"),
             (lambda text: re.sub(r"n_obs=\d+", "n_obs=-5", text), "n_obs must be"),
             (lambda text: text + "mean=5\n", "repeated key 'mean'"),
+            (lambda text: re.sub(r"ar\.1=\S+", "ar.1=1.5", text), "model.txt is malformed: .* not stationary"),
         ],
-        ids=["converged", "with_intercept", "n_obs", "repeated"],
+        ids=["converged", "with_intercept", "n_obs", "repeated", "not-stationary"],
     )
     def test_malformed_value_is_rejected(self, tmp_path, ar1_series, edit, message):
         result = fit(SarimaSpec(1, 0, 0), ar1_series)
