@@ -3,9 +3,15 @@
 The raw exports carry one row per day with a date column, the daily maximum
 demand in MW and a handful of auxiliary energy columns.  :func:`parse_records`
 reads an export into columns (:class:`Records`): day ordinals and demand as
-arrays, the auxiliary cells kept raw and parsed into a :class:`RawRecord`'s
+arrays, each source row kept whole and split into a :class:`RawRecord`'s
 ``extras`` only when that record is asked for, since only the demand column
-feeds the models.  :func:`assemble` lays the demand onto a gap-marked daily
+feeds the models.  Text without a ``"`` character, as the exports and
+:func:`write_bundle_csv` write it, is read with NumPy on its UTF-8 bytes: row
+ends and commas are found in one pass and the date and demand cells are read
+from byte spans.  Text with a quote, or with a line longer than
+``csv.field_size_limit()``, is read by ``csv.reader``.  Both readers feed one
+body with one short-row rule, one date parser and one error path.
+:func:`assemble` lays the demand onto a gap-marked daily
 calendar.  Missing demand days are handled five ways (drop, mean, median,
 mode, linear interpolation) and each strategy yields its own named dataset so
 the downstream comparisons can quantify how the choice of imputation moves
@@ -22,8 +28,9 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, islice, zip_longest
+from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,39 +145,66 @@ def _parse_date(cell: str) -> dt.date | None:
 
 
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
-# the digit positions of DD/MM/YYYY, and the weights that turn them into (day, month, year)
-_DMY_DIGITS = [0, 1, 3, 4, 6, 7, 8, 9]
+_COMMA, _NEWLINE = ord(","), ord("\n")
+# the weights that turn the ten digit codes of a DD/MM/YYYY or a YYYY-MM-DD
+# cell into (day, month, year); separator positions weigh 0
 _DMY_WEIGHTS = np.array([
-    [10, 1, 0, 0, 0, 0, 0, 0],
-    [0, 0, 10, 1, 0, 0, 0, 0],
-    [0, 0, 0, 0, 1000, 100, 10, 1],
-], dtype=np.int32)
+    [10, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 10, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1000, 100, 10, 1],
+])
+_ISO_WEIGHTS = np.array([
+    [0, 0, 0, 0, 0, 0, 0, 0, 10, 1],
+    [0, 0, 0, 0, 0, 10, 1, 0, 0, 0],
+    [1000, 100, 10, 1, 0, 0, 0, 0, 0, 0],
+])
+_DMY_DIGITS, _ISO_DIGITS = _DMY_WEIGHTS.any(axis=0), _ISO_WEIGHTS.any(axis=0)
+# both formats in one float product, a BLAS call that is exact on these integers
+_DATE_WEIGHTS = np.vstack([_DMY_WEIGHTS, _ISO_WEIGHTS]).T.astype(float)
 
 
-def _parse_dates(cells: Sequence[str]) -> np.ndarray:
+class _Spans(NamedTuple):
+    """The cells of one column as spans of a UTF-8 buffer, ``data[starts[i]:ends[i]]``."""
+
+    data: bytes
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def cell(self, i: int) -> str:
+        return self.data[self.starts[i]:self.ends[i]].decode("utf-8", "surrogatepass")
+
+
+def _spans(cells: Sequence[str]) -> _Spans:
+    encoded = [cell.encode("utf-8", "surrogatepass") for cell in cells]
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    ends = np.cumsum(lengths)
+    return _Spans(b"".join(encoded), ends - lengths, ends)
+
+
+def _parse_dates(cells: _Spans) -> np.ndarray:
     """Day ordinals of date cells, 0 where a cell is not a date.
 
-    Ten-character ASCII ``DD/MM/YYYY`` cells, as the exports write them, are
-    read in one vectorised pass whose calendar check takes month lengths from
-    ``datetime64[M]``; every other cell, and every cell that pass rejects,
-    goes through :func:`_parse_date`.
+    Ten-byte ASCII ``DD/MM/YYYY`` and ``YYYY-MM-DD`` cells, as the exports
+    write them, are read in one vectorised pass over the bytes whose calendar
+    check takes month lengths from ``datetime64[M]``; every other cell, and
+    every cell that pass rejects, goes through :func:`_parse_date`.
     """
-    n = len(cells)
-    fixed = np.fromiter(map(len, cells), dtype=np.intp, count=n) == 10
-    text = "".join(compress(cells, fixed.tolist()))
-    # one byte per character; a non-ASCII one becomes "?", so its cell fails this pass
-    codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8).reshape(-1, 10)
-    digits = codes[:, _DMY_DIGITS].astype(np.int32) - ord("0")
-    day, month, year = _DMY_WEIGHTS @ digits.T
-    ok = (codes[:, 2] == ord("/")) & (codes[:, 5] == ord("/")) & ((digits >= 0) & (digits <= 9)).all(axis=1)
-    ok &= (day >= 1) & (month >= 1) & (month <= 12) & (year >= 1)
+    fixed = np.flatnonzero(cells.ends - cells.starts == 10)
+    codes = np.frombuffer(cells.data, dtype=np.uint8)[cells.starts[fixed, None] + np.arange(10)]
+    digits = codes - float(ord("0"))
+    is_digit = (digits >= 0) & (digits <= 9)
+    dmy = (codes[:, 2] == ord("/")) & (codes[:, 5] == ord("/")) & is_digit[:, _DMY_DIGITS].all(axis=1)
+    iso = (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-")) & is_digit[:, _ISO_DIGITS].all(axis=1)
+    fields = digits @ _DATE_WEIGHTS
+    day, month, year = np.where(dmy, fields[:, :3].T, fields[:, 3:].T).astype(np.int64)
+    ok = (dmy | iso) & (day >= 1) & (month >= 1) & (month <= 12) & (year >= 1)
     first = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
     first_day = first.astype("datetime64[D]")
     ok &= day <= ((first + 1).astype("datetime64[D]") - first_day).astype(np.int64)
-    ordinals = np.zeros(n, dtype=np.int64)
-    ordinals[np.flatnonzero(fixed)[ok]] = first_day[ok].astype(np.int64) + (day[ok] - 1 + _EPOCH_ORDINAL)
+    ordinals = np.zeros(cells.starts.size, dtype=np.int64)
+    ordinals[fixed[ok]] = first_day[ok].astype(np.int64) + (day[ok] - 1 + _EPOCH_ORDINAL)
     for i in np.flatnonzero(ordinals == 0):
-        date = _parse_date(cells[i])
+        date = _parse_date(cells.cell(i))
         if date is not None:
             ordinals[i] = date.toordinal()
     return ordinals
@@ -187,17 +221,19 @@ def _parse_float(cell: str) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _demand_value(cell: str) -> float:
+def _demand_value(cell: bytes) -> float:
     try:
-        return float(cell)
+        return float(cell)  # reads bytes as ASCII; a cell it rejects is read as text below
     except ValueError:
-        value = _parse_float(cell)
+        value = _parse_float(cell.decode("utf-8", "surrogatepass"))
         return math.nan if value is None else value
 
 
-def _parse_demand(cells: Sequence[str]) -> np.ndarray:
+def _parse_demand(cells: _Spans) -> np.ndarray:
     """Demand in MW per cell; NaN where absent, non-finite or not positive."""
-    demand = np.fromiter(map(_demand_value, cells), dtype=float, count=len(cells))
+    data = cells.data
+    demand = np.fromiter((_demand_value(data[a:b]) for a, b in zip(cells.starts.tolist(), cells.ends.tolist())),
+                         dtype=float, count=cells.starts.size)
     demand[~(np.isfinite(demand) & (demand > 0))] = np.nan
     return demand
 
@@ -227,14 +263,87 @@ def _read_text(source) -> str:
     return _decode_text(bytes(source))
 
 
+class _CsvRows(list):
+    """Data rows as ``csv.reader`` reads them, the only reader for quoted cells."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.widths = np.fromiter(map(len, self), dtype=np.intp, count=len(self))
+
+    def column(self, j: int) -> _Spans:
+        return _spans([row[j] if j < len(row) else "" for row in self])
+
+
+class _SpanRows:
+    """Data rows of quote-free CSV text as byte spans of its UTF-8 encoding.
+
+    Without a quote character every comma is a delimiter and every LF a row
+    end, so :meth:`column` finds one column's cells in every row from the
+    delimiter positions at once, and a row is split into cells only when it
+    is indexed.
+    """
+
+    def __init__(self, body: str):
+        """``body`` is the text after the header line, with LF row ends."""
+        if body and not body.endswith("\n"):
+            body += "\n"
+        self._data = body.encode("utf-8", "surrogatepass")
+        codes = np.frombuffer(self._data, dtype=np.uint8)
+        # every delimiter and row end, and the start of the cell each one closes
+        self._seps = np.flatnonzero((codes == _COMMA) | (codes == _NEWLINE))
+        self._cell_starts = np.concatenate(([0], self._seps + 1))[:-1]
+        self._last = np.flatnonzero(codes[self._seps] == _NEWLINE)
+        self._first = np.concatenate(([0], self._last + 1))[:-1]
+        self.widths = self._last - self._first + 1
+
+    def __len__(self) -> int:
+        return self._last.size
+
+    def __getitem__(self, i: int) -> list[str]:
+        row = self._data[self._cell_starts[self._first[i]]:self._seps[self._last[i]]]
+        return row.decode("utf-8", "surrogatepass").split(",")
+
+    def line_bytes(self) -> int:
+        """The byte length of the longest row."""
+        return int((self._seps[self._last] - self._cell_starts[self._first]).max(initial=0))
+
+    def column(self, j: int) -> _Spans:
+        has = self.widths > j
+        k = np.where(has, self._first + j, self._last)
+        ends = self._seps[k]
+        return _Spans(self._data, np.where(has, self._cell_starts[k], ends), ends)
+
+
+def _read_rows(text: str) -> tuple[list[str], _SpanRows | _CsvRows]:
+    """The header and the data rows of non-empty text.
+
+    Text without a ``"`` is read as byte spans, with CRLF and lone CR taken
+    as LF row ends as ``csv.reader`` takes them.  Quoted text, and text with
+    a line longer than ``csv.field_size_limit()`` (so that the reader raises
+    its own error), go through ``csv.reader``.
+    """
+    if '"' not in text:
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        head, _, body = text.partition("\n")
+        rows = _SpanRows(body)
+        if max(len(head), rows.line_bytes()) <= csv.field_size_limit():
+            return head.split(",") if head else [], rows
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return next(reader), _CsvRows(reader)
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: {exc}") from None
+
+
 def _has_data(row: list[str]) -> bool:
     return bool("".join(row).strip())
 
 
-def _line_of(text: str, record: int) -> int:
-    """The reader's ``line_num`` at data row ``record``, counting only rows with data."""
+def _line_of(text: str, row: int) -> int:
+    """The reader's ``line_num`` at data row ``row``, blank rows included."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    for _ in islice(filter(_has_data, reader), record + 2):  # + 2: the header, then rows 0..record
+    for _ in islice(reader, row + 2):  # + 2: the header, then rows 0..row
         pass
     return reader.line_num
 
@@ -242,21 +351,22 @@ def _line_of(text: str, record: int) -> int:
 class Records(Sequence[RawRecord]):
     """The rows of one export, held as columns.
 
-    Day ordinals and demand (NaN where absent) are arrays; the auxiliary
-    columns keep their raw cells, with None where a row stops short of the
-    column.  Indexing, iteration and ``==`` behave as for a list of
-    :class:`RawRecord`, and a record (with its parsed ``extras``) is built
-    only when it is asked for.
+    Day ordinals and demand (NaN where absent) are arrays; each record keeps
+    the index of its source row, whose auxiliary cells are split and parsed
+    into ``extras`` only when the record is asked for.  Indexing, iteration
+    and ``==`` behave as for a list of :class:`RawRecord`.
     """
 
-    __slots__ = ("_ordinals", "_demand", "_extras")
+    __slots__ = ("_ordinals", "_demand", "_rows", "_index", "_extras")
 
-    def __init__(self, ordinals: np.ndarray, demand: np.ndarray,
-                 extras: tuple[tuple[str, Sequence[str | None]], ...]):
+    def __init__(self, ordinals: np.ndarray, demand: np.ndarray, rows: Sequence[list[str]],
+                 index: np.ndarray, extras: tuple[tuple[str, int], ...]):
         ordinals.setflags(write=False)
         demand.setflags(write=False)
         self._ordinals = ordinals
         self._demand = demand
+        self._rows = rows
+        self._index = index
         self._extras = extras
 
     def __len__(self) -> int:
@@ -264,13 +374,13 @@ class Records(Sequence[RawRecord]):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Records(self._ordinals[i], self._demand[i],
-                           tuple((key, cells[i]) for key, cells in self._extras))
+            return Records(self._ordinals[i], self._demand[i], self._rows, self._index[i], self._extras)
         demand = float(self._demand[i])
+        cells = self._rows[self._index[i]]
         return RawRecord(
             date=dt.date.fromordinal(int(self._ordinals[i])),
             max_demand_mw=None if math.isnan(demand) else demand,
-            extras={key: _parse_float(cells[i]) for key, cells in self._extras if cells[i] is not None},
+            extras={key: _parse_float(cells[j]) for key, j in self._extras if j < len(cells)},
         )
 
     def __eq__(self, other) -> bool:
@@ -288,14 +398,9 @@ def parse_records(source) -> Records:
     :class:`Records`.
     """
     text = _read_text(source)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader, None)
-        rows = list(filter(_has_data, reader))
-    except csv.Error as exc:
-        raise DataError(f"row {reader.line_num}: {exc}") from None
-    if header is None:
+    if not text:
         raise DataError("input is empty: no header row")
+    header, rows = _read_rows(text)
     columns: list[str | None] = [_classify_column(cell) for cell in header]
     if "date" not in columns or "max_demand_mw" not in columns:
         raise DataError(
@@ -304,26 +409,24 @@ def parse_records(source) -> Records:
         )
     date_idx = columns.index("date")
     demand_idx = columns.index("max_demand_mw")
-    if not rows:
+    dates = rows.column(date_idx)
+    ordinals = _parse_dates(dates)
+    short = rows.widths <= max(date_idx, demand_idx)
+    # a blank row has no date, so only the rows without one, and the short
+    # rows, are looked at for data; the first of them with data is the fault
+    blank = []
+    for i in np.flatnonzero((ordinals == 0) | short).tolist():
+        if _has_data(rows[i]):
+            if short[i]:
+                raise DataError(f"row {_line_of(text, i)}: too few columns ({rows.widths[i]})")
+            raise DataError(f"row {_line_of(text, i)}: unparseable date {dates.cell(i)!r}")
+        blank.append(i)
+    index = np.delete(np.arange(len(rows)), blank)
+    if not index.size:
         raise DataError("input has a header but no data rows")
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    short = np.flatnonzero(widths <= max(date_idx, demand_idx))
-    # the first faulty row in file order is reported, so only the dates
-    # before the first short row can be at fault
-    n_ok = int(short[0]) if short.size else len(rows)
-    # one tuple of cells per column, None where a row stops short
-    cells = list(zip_longest(*rows))
-    cells.extend([(None,) * len(rows)] * (len(columns) - len(cells)))
-    ordinals = _parse_dates(cells[date_idx][:n_ok])
-    bad = np.flatnonzero(ordinals == 0)
-    if bad.size:
-        first = int(bad[0])
-        raise DataError(f"row {_line_of(text, first)}: unparseable date {cells[date_idx][first]!r}")
-    if short.size:
-        raise DataError(f"row {_line_of(text, n_ok)}: too few columns ({widths[n_ok]})")
-    extras = tuple((key, cells[j]) for j, key in enumerate(columns)
+    extras = tuple((key, j) for j, key in enumerate(columns)
                    if key is not None and j not in (date_idx, demand_idx))
-    return Records(ordinals, _parse_demand(cells[demand_idx]), extras)
+    return Records(ordinals[index], _parse_demand(rows.column(demand_idx))[index], rows, index, extras)
 
 
 def _columns(records: Sequence[RawRecord]) -> tuple[np.ndarray, np.ndarray]:

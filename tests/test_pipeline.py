@@ -27,6 +27,7 @@ from demandcast.pipeline import (
     _classify_column,
     _parse_date,
     _parse_dates,
+    _spans,
     missing_dates,
     write_bundle_csv,
 )
@@ -102,6 +103,13 @@ def generated_export(n_days: int, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def unquoted(text: str) -> str:
+    """``text`` with its quoted thousands-separated cells written without the separator."""
+    text = text.replace('"4,112.5"', "4112.5")
+    assert '"' not in text
+    return text
+
+
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 # forms the parser accepts for every date: zero-padded and single-digit
@@ -119,19 +127,45 @@ VALUE_CELLS = (
     "", "0", "-3.5", "nan", "inf", "-inf", "4,112.5", "1_000", " 3987 ", "\u00a04112.5\u00a0",
     "n/a", "4112.5", "3.9e3", "  ",
 )
-# cells next to the edge of the DD/MM/YYYY path: impossible calendar dates and
-# valid neighbours, wrong separators or lengths, non-ASCII digits
+# cells next to the edge of the DD/MM/YYYY and YYYY-MM-DD paths: impossible
+# calendar dates and valid neighbours, wrong separators or lengths, non-ASCII digits
 DATE_EDGES = (
     "31/02/2020", "30/02/2020", "29/02/2019", "29/02/1900", "29/02/2100", "00/05/2020",
     "05/00/2020", "05/13/2020", "31/04/2021", "32/01/2020", "01/01/0000", "99/99/9999",
     "29/02/2020", "29/02/2000", "31/12/9999", "01/01/0001", "31/01/2021", "30/04/2021",
-    "05-03-2021", "05/03-2021", "5/03/20210", "2021-02-29", "05/03/2021\x00", "",
+    "05-03-2021", "05/03-2021", "5/03/20210", "05/03/2021\x00", "",
     "05/03/٢٠٢١", "٠٥/٠٣/٢٠٢١", "０５/０３/２０２１",
+    "2021-02-29", "2020-02-29", "1900-02-29", "2000-02-29", "0000-01-01", "2021-13-01",
+    "2021-00-10", "2021/01/01",
 )
 
 
 def date_cell(dates=st.dates()):
     return st.builds(lambda d, form: form(d), dates, st.sampled_from(DATE_FORMS))
+
+
+# cells with no comma, quote or line end, which the byte path reads
+UNQUOTED_CELLS = tuple(c for c in VALUE_CELLS if "," not in c) + ("\u00a0", "٤١١٢٫٥", "٣٩٨٧", "x\u00a0y")
+# rows without data: empty, comma-only and whitespace-only, one with a ten-space date cell
+BLANK_ROWS = ("", ",", ",,,,,,,", "   ", " ,\t, ", " " * 10 + ",,", "\u00a0,")
+# rows with data that are faults: short (one cell), or with a cell that is no date
+FAULT_ROWS = ("05/03/2021", " x", "٣", "31/02/2020,5", "2021-13-01,5", " " * 10 + ",5", ",5", "2021/01/01,4")
+LINE_ENDINGS = ("\n", "\r\n", "\r")
+
+
+def unquoted_rows(min_size: int = 1):
+    """Rows of 2-9 unquoted cells, mixed with blank rows."""
+    data_row = st.builds(
+        lambda date, cells, width: ",".join([date, *cells][:width]),
+        date_cell(st.dates(dt.date(1900, 1, 1), dt.date(2100, 12, 31))),
+        st.lists(st.sampled_from(UNQUOTED_CELLS), min_size=8, max_size=8),
+        st.integers(2, 9),
+    )
+    return st.lists(st.one_of(data_row, st.sampled_from(BLANK_ROWS)), min_size=min_size, max_size=20)
+
+
+def with_endings(rows: list[str], ending: str, final: bool) -> str:
+    return ending.join([FULL_HEADER, *rows]) + (ending if final else "")
 
 
 def export_text(rows: list[list[str]]) -> str:
@@ -251,6 +285,40 @@ class TestParseRecords:
         assert [r.extras for r in records] == [r.extras for r in expected]
 
     @settings(max_examples=300, deadline=None)
+    @given(unquoted_rows(), st.sampled_from(LINE_ENDINGS), st.booleans())
+    def test_unquoted_exports_match_reference_parse(self, rows, ending, final):
+        text = with_endings(rows, ending, final)
+        assert '"' not in text
+        expected = reference_records(with_endings(rows, "\n", final))
+        if not expected:
+            with pytest.raises(DataError, match="no data rows"):
+                parse_records(text.encode())
+            return
+        records = parse_records(text.encode())
+        assert records == expected and expected == records
+        assert [r.extras for r in records] == [r.extras for r in expected]
+        for part in (slice(1, None, 2), slice(None, None, -1), slice(-3, None)):
+            assert records[part] == expected[part]
+            assert [r.extras for r in records[part]] == [r.extras for r in expected[part]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        unquoted_rows(min_size=0), st.sampled_from(FAULT_ROWS), st.integers(0, 20),
+        st.sampled_from(LINE_ENDINGS), st.booleans(),
+    )
+    def test_unquoted_errors_equal_the_csv_readers(self, rows, fault, at, ending, final):
+        rows.insert(at, fault)
+        text = with_endings(rows, ending, final)
+        errors = []
+        # a quoted header cell leaves the header as it is and sends the text through csv.reader
+        for source in (text, '"Date"' + text.removeprefix("Date")):
+            with pytest.raises(DataError) as err:
+                parse_records(source.encode())
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert re.fullmatch(r"row \d+: (too few columns \(1\)|unparseable date .*)", errors[0])
+
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(
         st.one_of(
             st.sampled_from(DATE_EDGES),
@@ -261,7 +329,7 @@ class TestParseRecords:
     ))
     def test_vectorised_dates_match_strptime(self, cells):
         expected = [0 if (d := strptime_date(c)) is None else d.toordinal() for c in cells]
-        assert _parse_dates(cells).tolist() == expected
+        assert _parse_dates(_spans(cells)).tolist() == expected
 
     @pytest.mark.parametrize("cell", DATE_EDGES)
     def test_date_edges_give_strptimes_date_or_the_row_error(self, cell):
@@ -299,12 +367,20 @@ class TestParseRecords:
         path.write_bytes(text.encode())
         return [text.encode(), io.BytesIO(text.encode()), io.StringIO(text), path]
 
-    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    def test_line_endings_and_sources_give_equal_records(self, ending, tmp_path):
-        # the generated export has quoted cells; one more spans two lines
-        text = generated_export(90, seed=4) + '01/07/2013,4000,"a\nb"\n'
+    @pytest.mark.parametrize(
+        "quoted,ending",
+        [(quoted, ending) for quoted in (True, False) for ending in ("\n", "\r\n", "\r")],
+        ids=["lf", "crlf", "cr", "unquoted-lf", "unquoted-crlf", "unquoted-cr"],
+    )
+    def test_line_endings_and_sources_give_equal_records(self, quoted, ending, tmp_path):
+        if quoted:
+            # the generated export has quoted cells; one more spans two lines
+            text = generated_export(90, seed=4) + '01/07/2013,4000,"a\nb"\n'
+        else:
+            text = unquoted(generated_export(90, seed=4)) + "01/07/2013,4000,a\n"
         expected = parse_records(text.encode())
         assert len(expected) > 80
+        assert expected == reference_records(text)
         for source in self.sources(text.replace("\n", ending), tmp_path):
             assert parse_records(source) == expected
 
@@ -329,13 +405,25 @@ class TestParseRecords:
         [
             (("date,max demand", "01/01/2020,5", '02/01/2020,"{big}"'), "row 3: field larger than field limit"),
             (('date,max demand,"{big}"', "01/01/2020,5"), "row 1: field larger than field limit"),
+            (("date,max demand", "01/01/2020,5", "02/01/2020,{big}"), "row 3: field larger than field limit"),
+            (("date,max demand,{big}", "01/01/2020,5"), "row 1: field larger than field limit"),
         ],
-        ids=["row", "header"],
+        ids=["row", "header", "unquoted-row", "unquoted-header"],
     )
     def test_csv_reader_errors_are_data_errors(self, rows, message):
         big = "x" * (csv.field_size_limit() + 1)
         with pytest.raises(DataError, match=re.escape(message)):
             parse_records(csv_bytes(*(row.replace("{big}", big) for row in rows)))
+
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x85", "\u2028", "\x00", "\ud800"])
+    def test_other_line_breaks_and_lone_surrogates_are_cell_content(self, char):
+        # csv.reader ends a row only at LF, CR or CRLF; str.splitlines would end one at each
+        # of the first five; a text stream can hold a lone surrogate
+        text = f"{FULL_HEADER}\n01/01/2020,5{char}1,2{char},3\n02/01/2020,{char}7,a{char}b,4{char}5\n"
+        records = parse_records(io.StringIO(text))
+        assert len(records) == 2
+        assert records == reference_records(text)
+        assert [r.extras for r in records] == [r.extras for r in reference_records(text)]
 
     def test_duplicate_date_names_the_first_repeat_in_file_order(self):
         data = csv_bytes(
@@ -348,20 +436,21 @@ class TestParseRecords:
         assert str(err.value) == "duplicate record for 2020-01-02"
 
     def test_records_are_a_read_only_sequence_of_raw_records(self):
-        text = generated_export(60, seed=2)
-        records = parse_records(text.encode())
-        expected = reference_records(text)
-        assert isinstance(records, Records)
-        assert list(records) == expected
-        assert records[-1] == expected[-1]
-        assert records[5:17:3] == expected[5:17:3]
-        assert isinstance(records[5:17:3], Records)
-        assert records != expected[:-1]
-        assert records.index(expected[7]) == 7
-        with pytest.raises(IndexError):
-            records[len(expected)]
-        with pytest.raises(TypeError):
-            records[0] = expected[1]
+        # the generated export has quoted cells; its unquoted form takes the byte path
+        for text in (generated_export(60, seed=2), unquoted(generated_export(60, seed=2))):
+            records = parse_records(text.encode())
+            expected = reference_records(text)
+            assert isinstance(records, Records)
+            assert list(records) == expected
+            assert records[-1] == expected[-1]
+            assert records[5:17:3] == expected[5:17:3]
+            assert isinstance(records[5:17:3], Records)
+            assert records != expected[:-1]
+            assert records.index(expected[7]) == 7
+            with pytest.raises(IndexError):
+                records[len(expected)]
+            with pytest.raises(TypeError):
+                records[0] = expected[1]
 
     def test_directory_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read input file"):
