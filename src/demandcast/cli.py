@@ -456,10 +456,14 @@ def cmd_forecast(cfg: RunConfig) -> int:
     """load a serialized fit and emit forecasts"""
     model_path = cfg.model or (cfg.out_dir / "model.txt")
     fit_result, metadata = load_fit(model_path)
-    # the fit's dataset label names the default imputation choice
+    # the fit's dataset label names the default imputation choice; a label that
+    # names none is a fault of the fit file, unless --impute overrides it
     dataset = metadata.get("dataset") or STRATEGY_LABELS[ImputationStrategy.DROP]
     by_label = {label: strategy.value for strategy, label in STRATEGY_LABELS.items()}
-    bundle = _single_bundle(cfg, by_label.get(dataset, dataset))
+    choice = by_label.get(dataset, dataset)
+    if cfg.impute is None and choice not in by_label.values():
+        raise DataError(f"fit file {model_path}: dataset {dataset!r} names no imputation dataset")
+    bundle = _single_bundle(cfg, choice)
     fc = forecast(fit_result, bundle.series, cfg.horizon)
     out = _ensure_out(cfg)
     lines = ["date,point,lower95,upper95"]

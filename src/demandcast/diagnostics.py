@@ -8,11 +8,11 @@ recommendation draw their ADF tests from one lazy loop over orders.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _adfdata
 from .errors import DataError, InsufficientDataError, NumericalError, SpecError
@@ -66,6 +66,15 @@ class CorrelogramResult:
         return float(self.values[lag - 1])
 
 
+def _normal_cdf(x: float) -> float:
+    """Standard normal CDF: erf near zero and erfc in the tails, the split of SciPy's normal CDF."""
+    t = x * math.sqrt(0.5)
+    if abs(t) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(t)
+    tail = 0.5 * math.erfc(abs(t))
+    return 1.0 - tail if t > 0 else tail
+
+
 def _mackinnon_pvalue(stat: float, regression: str) -> tuple[float, bool]:
     """Approximate p-value for the tau statistic; clamped outside the surface."""
     if stat <= _adfdata.TAU_MIN[regression]:
@@ -76,7 +85,7 @@ def _mackinnon_pvalue(stat: float, regression: str) -> tuple[float, bool]:
         coeffs = _adfdata.SMALL_P[regression]
     else:
         coeffs = _adfdata.LARGE_P[regression]
-    p = float(ndtr(np.polyval(coeffs[::-1], stat)))
+    p = _normal_cdf(float(np.polyval(coeffs[::-1], stat)))
     if p < P_CLAMP:
         return P_CLAMP, True
     if p > 1.0 - P_CLAMP:

@@ -27,6 +27,12 @@ SciPy's Python layers.  Each likelihood pass of :func:`fit` maps optimizer
 coordinates straight to the expanded polynomials; only the final pass builds
 and checks :class:`SarimaParams`.
 
+Every lag-polynomial recursion a(B) y = b(B) x runs through
+:func:`_lag_recursion`: the MA(infinity) weights of the band covariance and
+of the forecast variance, the forecasts on the undifferenced scale, and
+simulated paths.  It convolves b with x, then solves a(B) by the banded
+triangular solve (``dtbtrs``) that also yields the innovations.
+
 Optimization runs in an unconstrained space: each coefficient block is
 parameterized by partial autocorrelations kappa = (1 - KAPPA_MARGIN) tanh(z).
 A bare tanh saturates to exactly +-1 in floating point, which puts a root on
@@ -433,12 +439,34 @@ def _band_covariance(ar_rec: np.ndarray, ma_rec: np.ndarray, rows: int) -> np.nd
         for k in range(p):
             gamma[k] = x[0]
             x[:-1] = x[1:] + tcol * x[0]
-        psi = scipy.signal.lfilter(theta, np.append(1.0, -ar_rec), np.eye(1, q + 1)[0])
+        psi = _lag_recursion(theta, np.append(1.0, -ar_rec), np.eye(1, q + 1)[0])
         g = np.zeros(kd + 1)
         g[: q + 1] = np.convolve(theta, psi[::-1])[q:]
         both_below_p = np.arange(kd + 1)[:, None] + np.arange(p) < p
         ab[:, :p] = np.where(both_below_p, gamma[:, None], g[:, None])
     return ab
+
+
+def _lag_recursion(b: np.ndarray, a: np.ndarray, x: np.ndarray, past: np.ndarray | None = None) -> np.ndarray:
+    """y with a(B) y = b(B) x over the span of x, lag-0 coefficients first and a[0] = 1.
+
+    ``past`` holds values of y before x, oldest first; its last len(a) - 1
+    start the recursion, which otherwise starts from zeros.  b(B) x is a
+    convolution, and a(B) over the span of x is a unit lower-triangular band
+    Toeplitz matrix, solved by ``dtbtrs`` as in :func:`_whiten`.
+    """
+    n, m = x.size, a.size - 1
+    rhs = np.convolve(b, x)[:n]
+    if past is not None and m:
+        # a_i y_{t-i} with t - i < 0 moves to the right-hand side
+        rhs[:m] -= np.convolve(a, past[past.size - m:])[m: m + n]
+    kd = min(m, n - 1)
+    ab = np.empty((kd + 1, n), order="F")
+    ab[:] = a[: kd + 1, None]
+    y, info = scipy.linalg.lapack.dtbtrs(ab, rhs, uplo="L")
+    if info != 0:
+        raise NumericalError(f"lag-polynomial recursion failed (LAPACK dtbtrs info {info})")
+    return y
 
 
 def _stride(spec: SarimaSpec) -> int:
@@ -812,11 +840,8 @@ def forecast(
     # a(B) y_t = z_t + phi(1) mean with a(B) = phi(B)(1-B)^d(1-B^s)^D, so each
     # y_{n+h} follows by recursion from the last len(a) - 1 values of the series
     a = _integrated_ar(ar_rec, spec.diff_spec)
-    zi = scipy.linalg.hankel(-a[1:]) @ series.values[::-1][: a.size - 1]  # lfilter state from those values
-    points = scipy.signal.lfilter([1.0], a, z_hat + (1.0 - ar_rec.sum()) * params.mean, zi=zi)[0]
-    impulse = np.zeros(horizon)
-    impulse[0] = 1.0
-    psi = scipy.signal.lfilter(np.append(1.0, ma_rec), a, impulse)
+    points = _lag_recursion(np.ones(1), a, z_hat + (1.0 - ar_rec.sum()) * params.mean, past=series.values)
+    psi = _lag_recursion(np.append(1.0, ma_rec), a, np.eye(1, horizon)[0])
     variance = params.sigma2 * np.cumsum(psi * psi)
     half = 1.96 * np.sqrt(variance)
     start = series.end_date + dt.timedelta(days=1)
@@ -850,12 +875,10 @@ def simulate(
     burn = 10 * r + 100
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(params.sigma2), size=n + burn)
-    path = scipy.signal.lfilter(
-        np.concatenate(([1.0], ma_rec)), np.concatenate(([1.0], -ar_rec)), eps
-    )[burn:]
+    path = _lag_recursion(np.append(1.0, ma_rec), np.append(1.0, -ar_rec), eps)[burn:]
     path = path + params.mean
     for factor in _difference_factors(spec.diff_spec):
-        path = scipy.signal.lfilter([1.0], factor, path)
+        path = _lag_recursion(np.ones(1), factor, path)
     return TimeSeries(start_date, path)
 
 

@@ -186,7 +186,6 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list:
     # optimizer stack once here rather than in every worker
     import scipy.linalg  # noqa: F401
     import scipy.optimize  # noqa: F401
-    import scipy.signal  # noqa: F401
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_call, tasks))

@@ -499,6 +499,19 @@ class TestForecast:
         err = capsys.readouterr().err
         assert "input error" in err and "model.txt" in err and "not stationary" in err
 
+    @pytest.mark.parametrize("label", ["bogus", "all"])
+    def test_unknown_dataset_label_exits_two_unless_impute_overrides(self, capsys, tmp_path, label):
+        self.seed_model(tmp_path)
+        model = tmp_path / "model.txt"
+        model.write_text(model.read_text().replace("meta.dataset=interp", f"meta.dataset={label}"))
+        capsys.readouterr()
+        base = ("forecast", "--input", FIX, "--out-dir", str(tmp_path), "--model", str(model))
+        assert run(*base) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "model.txt" in err and repr(label) in err
+        assert run(*base, "--impute", "mean") == 0
+        assert "from mean" in capsys.readouterr().out
+
     def test_explicit_model_path_and_impute_override(self, capsys, tmp_path):
         self.seed_model(tmp_path)
         capsys.readouterr()

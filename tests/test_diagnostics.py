@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,9 @@ from demandcast import (
     recommend_differencing,
     simulate,
 )
+from demandcast import _adfdata
 from demandcast.diagnostics import (
+    P_CLAMP,
     _mackinnon_pvalue,
     default_max_lag,
     unit_root_profile,
@@ -133,6 +136,21 @@ class TestMackinnonSurface:
         grid = np.linspace(-6.0, 0.5, 80)
         ps = [_mackinnon_pvalue(s, regression)[0] for s in grid]
         assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:]))
+
+    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    def test_matches_scipy_ndtr_of_the_surface(self, regression):
+        # the surface's polynomial through SciPy's normal CDF, on a dense grid
+        # over [TAU_MIN, TAU_MAX], the open end of "n" capped where p clamps
+        lo, hi = _adfdata.TAU_MIN[regression], min(_adfdata.TAU_MAX[regression], 6.0)
+        for stat in np.linspace(lo, hi, 10001)[1:-1]:
+            small = stat <= _adfdata.TAU_STAR[regression]
+            coeffs = (_adfdata.SMALL_P if small else _adfdata.LARGE_P)[regression]
+            want = float(scipy.special.ndtr(np.polyval(coeffs[::-1], stat)))
+            got, clamped = _mackinnon_pvalue(stat, regression)
+            if clamped:
+                assert not P_CLAMP <= want <= 1.0 - P_CLAMP
+            else:
+                assert abs(got - want) <= 1e-14 * want
 
     def test_extremes_clamp_and_flag(self):
         p_lo, flag_lo = _mackinnon_pvalue(-30.0, "c")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,8 @@ from demandcast.estimation import (
     MAX_EXPANDED_ORDER,
     _companion_matrix,
     _innovations,
+    _integrated_ar,
+    _lag_recursion,
     _state_space,
     _stationary_state_cov,
     _stride,
@@ -811,6 +814,41 @@ class TestSimulate:
         params = SarimaParams(ar=(5e-324,), ma=(-5e-324,))
         assert is_stationary(SarimaSpec(1, 0, 1), params)
         assert len(simulate(SarimaSpec(1, 0, 1), params, n=10, seed=0)) == 10
+
+
+def _rolling_integrated_ar() -> np.ndarray:
+    ar_rec, _ = expand_polynomials(ROLLING_SPEC, ROLLING_PARAMS)
+    return _integrated_ar(ar_rec, ROLLING_SPEC.diff_spec)
+
+
+class TestLagRecursion:
+    """The one recursion of forecast, simulate and the band covariance, against ``lfilter``."""
+
+    @pytest.mark.parametrize(
+        "b,a,n",
+        [
+            (np.array([1.0, 0.4, -0.2]), np.array([1.0, -0.5, 0.3]), 300),
+            (np.array([1.0, 0.3]), _integrated_ar(np.array([0.5, -0.3]), SarimaSpec(2, 1, 1).diff_spec), 200),
+            (np.array([1.0]), _rolling_integrated_ar(), 14),
+            (np.append(1.0, expand_polynomials(ROLLING_SPEC, ROLLING_PARAMS)[1]), _rolling_integrated_ar(), 14),
+            (np.array([1.0]), _rolling_integrated_ar(), 120),
+            (np.random.default_rng(51).normal(size=9), np.array([1.0]), 4),
+        ],
+        ids=["stationary", "integrated-d1", "rolling-points-h14", "rolling-psi-h14", "rolling-h120", "no-ar-long-b"],
+    )
+    @pytest.mark.parametrize("with_past", [False, True])
+    def test_matches_lfilter(self, b, a, n, with_past):
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=n)
+        past = rng.normal(size=a.size + 5).cumsum() + 100.0
+        if with_past:
+            got = _lag_recursion(b, a, x, past=past)
+            # lfiltic reads past outputs newest first; no past inputs
+            want = scipy.signal.lfilter(b, a, x, zi=scipy.signal.lfiltic(b, a, past[::-1]))[0]
+        else:
+            got = _lag_recursion(b, a, x)
+            want = scipy.signal.lfilter(b, a, x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestSaveLoad:
