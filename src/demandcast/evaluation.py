@@ -80,9 +80,12 @@ def run_study(
     """Evaluate every grid on the imputation dataset of each strategy, all five by default.
 
     A :class:`StepwiseConfig` grid tables each dataset's stepwise winner on
-    the holdout.  All fits of the study share one process pool when
-    ``jobs > 1``, and the report does not depend on ``jobs``.  A dataset
-    whose fits all fail is kept in the report (flagged by the renderer).
+    the holdout.  With ``jobs > 1`` all fits of the study run in the
+    process's worker pool, forked on the first pooled call, reused by later
+    calls with the same worker count and joined at exit; its workers run the
+    library as it was loaded at fork time.  The report does not depend on
+    ``jobs``.  A dataset whose fits all fail is kept in the report (flagged
+    by the renderer).
     """
     if not grids:
         raise SpecError("run_study needs at least one candidate grid")

@@ -8,6 +8,7 @@ auto-ARIMA procedures.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -174,21 +175,80 @@ def _call(task: tuple):
     return function(*args)
 
 
+def _single_threaded_blas() -> None:
+    """Pool worker initializer: one thread in each loaded OpenBLAS copy (NumPy's
+    and SciPy's), since the workers already share the cores.  Where no copy or
+    setter is found it does nothing; the parent process is never touched."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+# (pid, workers, executor) of this process's pool; a forked child finds its
+# parent's entry under another pid and never touches it
+_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+
+
+def _shutdown_pool() -> None:
+    """Join this process's pool workers and forget the pool."""
+    global _pool
+    entry, _pool = _pool, None
+    if entry is not None and entry[0] == os.getpid():
+        entry[2].shutdown(wait=True, cancel_futures=True)
+
+
+def _pool_of(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` workers; a pool of another size is joined first."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        _shutdown_pool()
+        # forked workers inherit loaded modules: load the likelihood and
+        # optimizer stack once here rather than in every worker
+        import scipy.linalg  # noqa: F401
+        import scipy.optimize  # noqa: F401
+
+        executor = ProcessPoolExecutor(max_workers=workers, initializer=_single_threaded_blas)
+        _pool = (os.getpid(), workers, executor)
+    return _pool[2]
+
+
 def _run_tasks(tasks: list[tuple], jobs: int) -> list:
-    """Results of ``(function, *args)`` tasks in submission order: from one process pool
-    of ``min(jobs, len(tasks))`` workers, or in this process when that is at most one."""
+    """Results of ``(function, *args)`` tasks in submission order: from the process's
+    pool of ``min(jobs, len(tasks))`` workers, or in this process when that is at most one.
+
+    The pool lives as long as the process: it is forked on the first pooled
+    call, reused while the worker count matches, replaced when it does not,
+    dropped when a call fails, and joined at interpreter exit.  Its workers run
+    the library as it was loaded when they were forked, with one OpenBLAS thread each.
+    The pool is process state: calls from several threads at once are not supported.
+    """
+    if not isinstance(jobs, (int, np.integer)) or isinstance(jobs, bool):
+        raise SpecError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, len(tasks))
+    workers = min(int(jobs), len(tasks))
     if workers <= 1:
         return [_call(task) for task in tasks]
-    # forked workers inherit loaded modules: load the likelihood and
-    # optimizer stack once here rather than in every worker
-    import scipy.linalg  # noqa: F401
-    import scipy.optimize  # noqa: F401
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = _pool_of(workers)
+    try:
         return list(pool.map(_call, tasks))
+    except BaseException:
+        _shutdown_pool()
+        raise
 
 
 def evaluate_grid(
@@ -202,7 +262,10 @@ def evaluate_grid(
     """Fit every candidate on the train side and rank by holdout accuracy.
 
     The one-dataset case of a study: with ``jobs > 1`` candidates are fitted
-    in parallel processes, and the ranking is identical either way.
+    in the process's worker pool, and the ranking is identical either way.
+    That pool is forked on the first pooled call, reused by later calls
+    with the same worker count and joined at exit; its workers run the
+    library as it was loaded at fork time (see ``_run_tasks``).
     """
     rows = _run_tasks(_grid_tasks(series, split_spec, candidates, seed, ""), jobs)
     return RankedResults(rows=tuple(rows), ranking_key=ranking_key)

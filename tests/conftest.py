@@ -46,6 +46,17 @@ def adf_calls(monkeypatch) -> list[int]:
     return calls
 
 
+@pytest.fixture(autouse=True)
+def own_pool():
+    """Each test starts without the task runner's process pool and joins any it starts,
+    so no test reuses workers forked under another test's patches."""
+    from demandcast import selection
+
+    selection._shutdown_pool()
+    yield
+    selection._shutdown_pool()
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list[int]:
     """Worker counts of the process pools the task runner starts, for the test's duration."""
@@ -55,9 +66,9 @@ def pool_sizes(monkeypatch) -> list[int]:
 
     sizes = []
 
-    def recording_pool(max_workers):
+    def recording_pool(max_workers, **kwargs):
         sizes.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(selection, "ProcessPoolExecutor", recording_pool)
     return sizes

@@ -159,7 +159,7 @@ class TestRunStudy:
         rows = [[pickle.dumps(r) for t in report.tables for r in t.results.rows] for report in (serial, pooled)]
         assert len(rows[0]) == 20 and rows[1] == rows[0]
 
-    @pytest.mark.parametrize("jobs", [0, -4])
+    @pytest.mark.parametrize("jobs", [0, -4, 1.5, "2", True])
     def test_rejects_fewer_than_one_job(self, fixture_records, jobs):
         with pytest.raises(SpecError, match="jobs"):
             run_study(fixture_records, SplitSpec.by_count(60), [FAST_GRID], jobs=jobs)

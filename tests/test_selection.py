@@ -1,8 +1,17 @@
+import ctypes
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demandcast
 from conftest import make_series
 from demandcast import (
     CandidateSet,
@@ -16,9 +25,11 @@ from demandcast import (
     fit,
     fixed_grid,
     log_likelihood,
+    run_study,
     simulate,
     stepwise_search,
 )
+from demandcast import selection
 from demandcast.selection import ARIMA_TABLE_ORDERS, EvaluationRow, SARIMA_TABLE_ORDERS
 
 
@@ -154,7 +165,7 @@ class TestEvaluateGrid:
         assert pickle.dumps(pooled_one.rows) == pickle.dumps(serial_one.rows)
         assert pickle.dumps(pooled_all.rows) == pickle.dumps(serial_all.rows)
 
-    @pytest.mark.parametrize("jobs", [0, -4])
+    @pytest.mark.parametrize("jobs", [0, -4, 1.5, "2", True])
     def test_rejects_fewer_than_one_job(self, ar1_series, jobs):
         with pytest.raises(SpecError, match="jobs"):
             evaluate_grid(ar1_series, SplitSpec.by_count(60), self.candidates, jobs=jobs)
@@ -221,3 +232,120 @@ class TestStepwise:
             StepwiseConfig(d=3)
         with pytest.raises(SpecError):
             StepwiseConfig(D=2)
+
+
+def _openblas_threads() -> int | None:
+    """Thread count of the loaded OpenBLAS copy with ``scipy_openblas_get_num_threads``
+    (SciPy's), or None where there is none."""
+    import scipy.linalg  # noqa: F401  (loads SciPy's copy)
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _wait_gone(pids, timeout: float = 10.0) -> set[int]:
+    """Those of ``pids`` still running after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    alive = set(pids)
+    while alive and time.monotonic() < deadline:
+        for pid in list(alive):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                alive.discard(pid)
+        time.sleep(0.05)
+    return alive
+
+
+class TestWorkerPool:
+    """One task-runner pool per process, kept across calls."""
+
+    candidates = TestEvaluateGrid.candidates
+    grid = CandidateSet(specs=(SarimaSpec(1, 0, 0), SarimaSpec(0, 1, 0)), source="explicit", name="smoke")
+
+    def test_calls_share_one_pool(self, ar1_series, fixture_records, pool_sizes):
+        split_spec = SplitSpec.by_count(60)
+        serial_grid = evaluate_grid(ar1_series, split_spec, self.candidates, jobs=1)
+        serial_study = run_study(fixture_records, split_spec, [self.grid], jobs=1)
+        assert pool_sizes == [] and _worker_pids() == set()
+        pooled_grids, workers = [], []
+        for jobs in (2, np.int64(2)):
+            pooled_grids.append(evaluate_grid(ar1_series, split_spec, self.candidates, jobs=jobs))
+            workers.append(_worker_pids())
+        pooled_study = run_study(fixture_records, split_spec, [self.grid], jobs=2)
+        workers.append(_worker_pids())
+        assert pool_sizes == [2]
+        assert len(workers[0]) == 2 and workers == [workers[0]] * 3
+        for pooled in pooled_grids:
+            assert pickle.dumps(pooled.rows) == pickle.dumps(serial_grid.rows)
+        studies = (serial_study, pooled_study)
+        rows = [[pickle.dumps(r) for t in study.tables for r in t.results.rows] for study in studies]
+        assert len(rows[0]) == 10 and rows[1] == rows[0]
+
+    def test_another_worker_count_replaces_the_pool(self, pool_sizes):
+        first = selection._run_tasks([(os.getpid,)] * 2, 2)
+        old = _worker_pids()
+        second = selection._run_tasks([(os.getpid,)] * 3, 3)
+        new = _worker_pids()
+        assert pool_sizes == [2, 3]
+        assert len(old) == 2 and set(first) <= old
+        assert len(new) == 3 and set(second) <= new and not new & old
+        assert _wait_gone(old) == set()
+
+    def test_dead_worker_breaks_the_call_and_the_next_call_gets_a_new_pool(self, pool_sizes):
+        with pytest.raises(BrokenProcessPool):
+            selection._run_tasks([(os._exit, 3), (os.getpid,)], 2)
+        assert selection._pool is None
+        pids = selection._run_tasks([(os.getpid,)] * 2, 2)
+        assert pool_sizes == [2, 2]
+        assert set(pids) <= _worker_pids() and os.getpid() not in pids
+
+    def test_pool_recorded_under_another_pid_is_not_reused(self, pool_sizes):
+        selection._run_tasks([(os.getpid,)] * 2, 2)
+        pid, workers, inherited = selection._pool
+        old = _worker_pids()
+        # as a forked child finds its parent's pool: left alone, not reused
+        selection._pool = (pid + 1, workers, inherited)
+        try:
+            pids = selection._run_tasks([(os.getpid,)] * 2, 2)
+            assert pool_sizes == [2, 2]
+            assert selection._pool[0] == os.getpid() and selection._pool[2] is not inherited
+            assert not set(pids) & old and old < _worker_pids()
+        finally:
+            inherited.shutdown(wait=False)
+        assert _wait_gone(old) == set()
+
+    def test_workers_run_single_threaded_blas(self):
+        threads = _openblas_threads()
+        if threads is None:
+            pytest.skip("no OpenBLAS copy with scipy_openblas_get_num_threads is loaded")
+        assert selection._run_tasks([(_openblas_threads,)] * 2, 2) == [1, 1]
+        assert _openblas_threads() == threads  # this process keeps its own setting
+
+    def test_no_worker_outlives_the_process(self):
+        package_root = Path(demandcast.__file__).resolve().parent.parent
+        code = (
+            f"import multiprocessing, os, sys; sys.path.insert(0, {str(package_root)!r})\n"
+            "from demandcast.selection import _run_tasks\n"
+            "pids = {*_run_tasks([(os.getpid,)] * 4, 2), *_run_tasks([(os.getpid,)] * 4, 2)}\n"
+            "workers = {p.pid for p in multiprocessing.active_children()}\n"
+            "assert len(workers) == 2 and pids <= workers\n"
+            "print(*sorted(workers))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        workers = {int(pid) for pid in proc.stdout.split()}
+        assert len(workers) == 2 and _wait_gone(workers) == set()
