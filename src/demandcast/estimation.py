@@ -39,11 +39,19 @@ A bare tanh saturates to exactly +-1 in floating point, which puts a root on
 the unit circle; the margin keeps every visited point strictly stationary and
 invertible, so a fitted model is always accepted by :func:`forecast` and
 :func:`log_likelihood`.
+
+L-BFGS-B takes the objective and its gradient from one function
+(:func:`_value_and_gradient`), whose gradient is SciPy's own forward
+difference with SciPy's step, computed without SciPy's per-evaluation
+layers; the search visits the same points and returns the same result as
+L-BFGS-B differencing the objective itself.  GRAD_MAX_EVALS still counts
+likelihood passes, difference passes included.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -51,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy  # submodules load on first use, so importing the package skips them
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .diagnostics import _pacf_values
 from .errors import DataError, InsufficientDataError, NumericalError, SpecError
@@ -197,10 +206,18 @@ def _check_dims(spec: SarimaSpec, params: SarimaParams) -> None:
 
 
 def _lag_product(regular: np.ndarray, seasonal: np.ndarray, s: int) -> np.ndarray:
-    """Coefficients after lag 0 of (1 + sum_i regular_i B^i)(1 + sum_j seasonal_j B^(j s))."""
+    """Coefficients after lag 0 of (1 + sum_i regular_i B^i)(1 + sum_j seasonal_j B^(j s)).
+
+    With one factor empty the product is the other factor; ``+ 0.0`` turns
+    -0.0 into 0.0 as the convolution does, so both routes give the same bits.
+    """
+    if not seasonal.size:
+        return regular + 0.0
     seasonal_poly = np.zeros(seasonal.size * s + 1)
     seasonal_poly[0] = 1.0
     seasonal_poly[s::s] = seasonal
+    if not regular.size:
+        return seasonal_poly[1:] + 0.0
     return np.convolve(np.concatenate(([1.0], regular)), seasonal_poly)[1:]
 
 
@@ -354,6 +371,13 @@ def _no_sort(wr: float, wi: float) -> None:
     """Eigenvalue selector for ``dgees``, which leaves the Schur form unsorted."""
 
 
+@functools.lru_cache(maxsize=None)
+def _dgees_lwork(r: int) -> int:
+    """SciPy's optimal ``dgees`` workspace query at dimension r; LAPACK works it
+    out from r alone, so it is asked once per dimension."""
+    return int(scipy.linalg.lapack.dgees(_no_sort, np.zeros((r, r)), lwork=-1)[-2][0])
+
+
 def _stationary_state_cov(tcol: np.ndarray, rvec: np.ndarray) -> np.ndarray:
     """Solve P = T P T' + R R' for the stationary initial state covariance.
 
@@ -370,19 +394,19 @@ def _stationary_state_cov(tcol: np.ndarray, rvec: np.ndarray) -> np.ndarray:
     LYAPUNOV_REFINEMENTS passes.
     """
     lapack = scipy.linalg.lapack
+    r = tcol.size
     T = _companion_matrix(tcol)
-    Q = np.outer(rvec, rvec)
-    eye = np.eye(tcol.size)
+    Q = rvec[:, None] * rvec
+    eye = np.eye(r)
     try:
-        tt_inv = np.linalg.inv(T.T + eye)
-        b = np.dot(T.T - eye, tt_inv)
-        t_inv = np.linalg.inv(T + eye)
+        # one stacked call; each inverse is the same LAPACK solve as alone
+        tt_inv, t_inv = np.linalg.inv(np.stack((T.T + eye, T + eye)))
     except np.linalg.LinAlgError as exc:  # T has an eigenvalue -1
         raise NumericalError(f"stationary covariance solve failed: {exc}") from exc
+    b = np.dot(T.T - eye, tt_inv)
     if not np.isfinite(b).all():
         raise NumericalError("stationary covariance solve failed: the bilinear transform is not finite")
-    lwork = int(lapack.dgees(_no_sort, b.T, lwork=-1)[-2][0])
-    s, _, _, _, u, _, info = lapack.dgees(_no_sort, b.T, lwork=lwork)
+    s, _, _, _, u, _, info = lapack.dgees(_no_sort, b.T, lwork=_dgees_lwork(r))
     if info != 0:
         raise NumericalError(f"stationary covariance solve failed: no Schur form (LAPACK dgees info {info})")
     P0 = np.zeros_like(Q)
@@ -427,7 +451,7 @@ def _band_covariance(ar_rec: np.ndarray, ma_rec: np.ndarray, rows: int) -> np.nd
     p, q = ar_rec.size, ma_rec.size
     tcol, rvec = _state_space(ar_rec, ma_rec)
     kd = tcol.size - 1
-    theta = np.append(1.0, ma_rec)
+    theta = np.concatenate(([1.0], ma_rec))
     ab = np.zeros((kd + 1, rows), order="F")
     ab[: q + 1] = np.convolve(theta, theta[::-1])[q:, None]
     if p:
@@ -439,9 +463,12 @@ def _band_covariance(ar_rec: np.ndarray, ma_rec: np.ndarray, rows: int) -> np.nd
         for k in range(p):
             gamma[k] = x[0]
             x[:-1] = x[1:] + tcol * x[0]
-        psi = _lag_recursion(theta, np.append(1.0, -ar_rec), np.eye(1, q + 1)[0])
         g = np.zeros(kd + 1)
-        g[: q + 1] = np.convolve(theta, psi[::-1])[q:]
+        if q:
+            psi = _lag_recursion(theta, np.concatenate(([1.0], -ar_rec)), np.eye(1, q + 1)[0])
+            g[: q + 1] = np.convolve(theta, psi[::-1])[q:]
+        else:
+            g[0] = 1.0  # theta = psi = (1,)
         both_below_p = np.arange(kd + 1)[:, None] + np.arange(p) < p
         ab[:, :p] = np.where(both_below_p, gamma[:, None], g[:, None])
     return ab
@@ -487,11 +514,17 @@ def _whiten(w: np.ndarray, ar_rec: np.ndarray, ma_rec: np.ndarray, stride: int, 
     beyond the data carry the covariance of z there, for forecasting.
     """
     n, p = w.size, ar_rec.size
-    z = np.convolve(w, np.append(1.0, -ar_rec))[:n]
-    z[:p] = w[:p]
+    if p:
+        z = np.convolve(w, np.concatenate(([1.0], -ar_rec)))[:n]
+        z[:p] = w[:p]
+    else:
+        z = w + 0.0  # the convolution with (1,), -0.0 included
     rows = -(-n // stride)
-    zm = np.zeros(rows * stride)
-    zm[:n] = z
+    if rows * stride == n:
+        zm = z
+    else:
+        zm = np.zeros(rows * stride)
+        zm[:n] = z
     ab = _band_covariance(ar_rec[stride - 1:: stride], ma_rec[stride - 1:: stride], -(-(n + extra) // stride))
     c, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
     if info != 0:
@@ -517,13 +550,11 @@ def _innovations(w: np.ndarray, ar_rec: np.ndarray, ma_rec: np.ndarray, stride: 
 def _concentrated_loglik(v: np.ndarray, f: np.ndarray) -> tuple[float, float]:
     """Profile out sigma2; returns (loglik at the profiled variance, sigma2 hat)."""
     n = v.size
-    ssq = float(np.sum(v * v / f))
+    ssq = float((v * v / f).sum())
     if ssq <= 0.0 or not np.isfinite(ssq):
         raise NumericalError("degenerate innovation sum in likelihood")
     sigma2 = ssq / n
-    ll = -0.5 * n * (math.log(2.0 * math.pi) + 1.0 + math.log(sigma2)) - 0.5 * float(
-        np.sum(np.log(f))
-    )
+    ll = -0.5 * n * (math.log(2.0 * math.pi) + 1.0 + math.log(sigma2)) - 0.5 * float(np.log(f).sum())
     return ll, sigma2
 
 
@@ -625,6 +656,19 @@ def _shrink_into_region(coeffs: np.ndarray, is_ma: bool) -> np.ndarray | None:
     return None
 
 
+def _long_ar_residuals(wc: np.ndarray, a_long: np.ndarray) -> np.ndarray:
+    """resid[t] = wc[t] - sum_i a_long[i] wc[t-1-i] from t = len(a_long) on, zero before.
+
+    One product of the reversed lag windows with a_long.  The windows are
+    not BLAS-strided, so NumPy sums each row in lag order, as a loop of
+    one-dimensional dot products over the same windows does.
+    """
+    order = a_long.size
+    resid = np.zeros(wc.size)
+    resid[order:] = wc[order:] - sliding_window_view(wc, order)[:-1, ::-1] @ a_long
+    return resid
+
+
 def _hannan_rissanen_start(wc: np.ndarray, spec: SarimaSpec) -> np.ndarray:
     """Regression-based start coordinates z0 (see :func:`_z_to_params`); zeros if any step fails."""
     zeros = np.zeros(spec.p + spec.q + spec.P + spec.Q)
@@ -642,9 +686,7 @@ def _hannan_rissanen_start(wc: np.ndarray, spec: SarimaSpec) -> np.ndarray:
             a_long = pacf_to_coeffs(_pacf_values(wc, long_order))
         except (DataError, NumericalError):
             return zeros
-        resid = np.zeros(n)
-        for t in range(long_order, n):
-            resid[t] = wc[t] - float(a_long @ wc[t - long_order: t][::-1])
+        resid = _long_ar_residuals(wc, a_long)
         t_start = max(max_lag, long_order + max(ma_lags))
     if n - t_start < 10 + len(ar_lags) + len(ma_lags):
         return zeros
@@ -679,7 +721,48 @@ NM_MAX_EVALS = 5000
 NM_XATOL = 1e-8
 MAX_RESTARTS = 2
 RESTART_MIN_GAIN = 1e-4
+# likelihood passes one L-BFGS-B search may spend, gradient differences included
 GRAD_MAX_EVALS = 3000
+# SciPy's absolute finite-difference step for L-BFGS-B (its ``eps`` default)
+_DIFF_STEP = 1e-8
+
+
+def _profile_objective(wc: np.ndarray, spec: SarimaSpec, stride: int):
+    """Negative concentrated log-likelihood at optimizer coordinates z, inf where the pass fails."""
+
+    def objective(z: np.ndarray) -> float:
+        # L-BFGS-B has proposed NaN coordinates on near-integrated series
+        if not np.isfinite(z).all():
+            return np.inf
+        try:
+            v, f = _innovations(wc, *_z_to_polynomials(z, spec), stride)
+            ll, _ = _concentrated_loglik(v, f)
+        except (NumericalError, FloatingPointError):
+            return np.inf
+        return -ll if np.isfinite(ll) else np.inf
+
+    return objective
+
+
+def _value_and_gradient(objective, z: np.ndarray) -> tuple[float, np.ndarray]:
+    """objective(z) and its forward-difference gradient, as SciPy's L-BFGS-B differences it.
+
+    Coordinate i steps by _DIFF_STEP, or by SciPy's fallback
+    sqrt(eps) * sign(z_i) * max(1, |z_i|) where z_i + _DIFF_STEP rounds back
+    to z_i, and the difference is divided by the step as represented,
+    (z_i + h_i) - z_i.  The arithmetic and its order are SciPy's, so the
+    gradient has the same bits as the one L-BFGS-B computes without ``jac``.
+    """
+    f0 = objective(z)
+    h = np.where((z + _DIFF_STEP) - z == 0,
+                 np.finfo(float).eps ** 0.5 * np.where(z >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(z)),
+                 _DIFF_STEP)
+    values = np.empty(z.size)
+    for i in range(z.size):
+        x = z.copy()
+        x[i] = z[i] + h[i]
+        values[i] = objective(x)
+    return f0, (values - f0) / ((z + h) - z)
 
 
 def _minimize_once(objective, z0: np.ndarray) -> "scipy.optimize.OptimizeResult":
@@ -689,10 +772,18 @@ def _minimize_once(objective, z0: np.ndarray) -> "scipy.optimize.OptimizeResult"
     evaluations where Nelder-Mead needs thousands; the simplex run remains
     as a fallback for the rare starts where finite-difference gradients hit
     an inadmissible (infinite) likelihood region and the line search aborts.
+
+    L-BFGS-B takes the objective and its gradient from one call
+    (:func:`_value_and_gradient`), so it visits the points, and returns the
+    result, that it would reach by differencing the objective itself.  Each
+    of its evaluations costs dim + 1 likelihood passes, so its cap is
+    GRAD_MAX_EVALS // (dim + 1): GRAD_MAX_EVALS still counts passes, and the
+    search stops at the same iterate as a cap of GRAD_MAX_EVALS on SciPy's
+    own count, which includes the difference passes.
     """
     res = scipy.optimize.minimize(
-        objective, z0, method="L-BFGS-B",
-        options={"maxfun": GRAD_MAX_EVALS, "ftol": 1e-11, "gtol": 1e-7},
+        lambda z: _value_and_gradient(objective, z), z0, method="L-BFGS-B", jac=True,
+        options={"maxfun": GRAD_MAX_EVALS // (z0.size + 1), "ftol": 1e-11, "gtol": 1e-7},
     )
     if res.success and np.isfinite(res.fun):
         return res
@@ -713,7 +804,9 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
     gradient-based local optimizer (with a simplex fallback); seeded
     perturbation restarts continue only while they keep improving the
     optimum.  The innovation variance is profiled out, so the search space
-    holds only the lag coefficients.
+    holds only the lag coefficients.  The gradient is SciPy's forward
+    difference of the likelihood, computed here so that one call returns
+    both (:func:`_minimize_once`).
     """
     w = _prepare(series, spec)
     n = w.size
@@ -729,17 +822,7 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
     wc = w - mu
     dim = spec.p + spec.q + spec.P + spec.Q
     stride = _stride(spec)
-
-    def objective(z: np.ndarray) -> float:
-        # L-BFGS-B has proposed NaN coordinates on near-integrated series
-        if not np.isfinite(z).all():
-            return np.inf
-        try:
-            v, f = _innovations(wc, *_z_to_polynomials(z, spec), stride)
-            ll, _ = _concentrated_loglik(v, f)
-        except (NumericalError, FloatingPointError):
-            return np.inf
-        return -ll if np.isfinite(ll) else np.inf
+    objective = _profile_objective(wc, spec, stride)
 
     if dim == 0:
         z_best = np.empty(0)

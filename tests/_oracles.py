@@ -10,7 +10,9 @@ through a Kronecker-product stationary covariance and a full covariance
 update at every step, the AR(2) likelihood in closed form, and OLS
 t-ratios and the ARMA likelihood in exact rational arithmetic.  The NumPy
 Durbin-Levinson loop is kept as the bit-exact reference for the library's
-plain-float one.
+plain-float one, the loop over lag windows for the long-autoregression
+residuals, and a search on which SciPy differences the objective itself
+for the fit's own gradient.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import linalg, signal, stats
+from scipy import linalg, optimize, signal, stats
 
 # impulse-response length; inverse roots are capped at 0.98 so the tail
 # is below 0.98**5000 ~ 1e-44 and truncation error is irrelevant
@@ -269,3 +271,35 @@ def ar2_loglik(ar, sigma2: float, y: np.ndarray) -> float:
     e = y[2:] - a1 * y[1:-1] - a2 * y[:-2]
     tail = -0.5 * (e.size * np.log(2.0 * np.pi * sigma2) + float(e @ e) / sigma2)
     return float(head + tail)
+
+
+def long_ar_residuals_loop(wc: np.ndarray, a_long: np.ndarray) -> np.ndarray:
+    """Long-autoregression residuals by one dot product per time step, zero before len(a_long)."""
+    order, n = a_long.size, wc.size
+    resid = np.zeros(n)
+    for t in range(order, n):
+        resid[t] = wc[t] - float(a_long @ wc[t - order: t][::-1])
+    return resid
+
+
+def search_with_scipy_differences(objective, z0: np.ndarray, grad_max_evals: int,
+                                  nm_max_evals: int, nm_xatol: float) -> optimize.OptimizeResult:
+    """One local search with L-BFGS-B differencing ``objective`` itself (no ``jac``).
+
+    SciPy then computes the 2-point gradient with its absolute step and counts
+    every difference pass towards ``maxfun``; a failed or non-finite search
+    falls back to Nelder-Mead as the library's search does.
+    """
+    res = optimize.minimize(
+        objective, z0, method="L-BFGS-B",
+        options={"maxfun": grad_max_evals, "ftol": 1e-11, "gtol": 1e-7},
+    )
+    if res.success and np.isfinite(res.fun):
+        return res
+    nm = optimize.minimize(
+        objective, res.x if np.isfinite(res.fun) else z0, method="Nelder-Mead",
+        options={"xatol": nm_xatol, "fatol": 1e-10, "maxfev": nm_max_evals, "maxiter": nm_max_evals},
+    )
+    if np.isfinite(res.fun) and res.fun < nm.fun:
+        return res
+    return nm

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,7 @@ from demandcast.estimation import (
     _companion_matrix,
     _innovations,
     _integrated_ar,
+    _lag_product,
     _lag_recursion,
     _state_space,
     _stationary_state_cov,
@@ -144,6 +146,20 @@ class TestExpandPolynomials:
         ar_rec, ma_rec = expand_polynomials(spec, params)
         np.testing.assert_allclose(ar_rec, [0.5, -0.2])
         np.testing.assert_allclose(ma_rec, [0.3])
+
+    @pytest.mark.parametrize("s", [1, 7])
+    def test_product_with_an_empty_factor_equals_the_convolution(self, s):
+        # the short cut must keep the convolution's bits, -0.0 turned into 0.0 included
+        factor = np.array([0.5, -0.0, -1e-300, 0.0, 0.3])
+        empty = np.empty(0)
+        seasonal_poly = np.zeros(factor.size * s + 1)
+        seasonal_poly[0], seasonal_poly[s::s] = 1.0, factor
+        for got, want in (
+            (_lag_product(factor, empty, s), np.convolve(np.concatenate(([1.0], factor)), [1.0])[1:]),
+            (_lag_product(empty, factor, s), np.convolve([1.0], seasonal_poly)[1:]),
+        ):
+            assert got.tobytes() == want.tobytes()
+        assert _lag_product(empty, empty, s).size == 0
 
     @given(
         orders=st.one_of(
@@ -647,6 +663,137 @@ class TestFit:
     def test_too_short_series(self):
         with pytest.raises(InsufficientDataError):
             fit(SarimaSpec(3, 0, 0), make_series(np.arange(4.0)))
+
+
+def _search_case(name):
+    """(spec, series) of a named search case."""
+    if name == "ma-unit-root":
+        y = np.loadtxt(MA_UNIT_ROOT_CSV, delimiter=",", skiprows=1, usecols=1)
+        return SarimaSpec(0, 2, 1), make_series(y, dt.date(2013, 1, 1))
+    if name == "seasonal":
+        series = simulate(SarimaSpec(0, 0, 0, P=1, s=7), SarimaParams(mean=100.0, seasonal_ar=(0.6,)), n=700, seed=5)
+        return SarimaSpec(0, 0, 0, P=1, D=1, Q=1, s=7), series
+    if name == "random-walk":
+        return SarimaSpec(2, 0, 0), make_series(np.cumsum(np.random.default_rng(44).normal(size=120)))
+    series = simulate(SarimaSpec(1, 0, 0), SarimaParams(mean=50.0, ar=(0.7,), sigma2=4.0), n=600, seed=11)
+    return {"ar1": SarimaSpec(1, 0, 0), "ar2": SarimaSpec(2, 0, 0)}[name], series
+
+
+def _objective_and_start(name):
+    """A fresh fit objective of the named case, and the fit's regression start."""
+    spec, series = _search_case(name)
+    w = estimation._prepare(series, spec)
+    wc = w - w.mean() if spec.with_intercept else w
+    return estimation._profile_objective(wc, spec, _stride(spec)), estimation._hannan_rissanen_start(wc, spec)
+
+
+def _reference_search(objective, z0):
+    return _oracles.search_with_scipy_differences(
+        objective, z0, estimation.GRAD_MAX_EVALS, estimation.NM_MAX_EVALS, estimation.NM_XATOL
+    )
+
+
+class TestSearchMatchesScipyDifferences:
+    """The fit's own difference gradient is bit for bit the one SciPy's L-BFGS-B computes."""
+
+    @staticmethod
+    def assert_same_search(got, want):
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.fun == want.fun
+        assert got.success == want.success
+        assert got.message == want.message
+
+    def run_both(self, name, z0=None):
+        objective, start = _objective_and_start(name)
+        z0 = start if z0 is None else np.asarray(z0, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = estimation._minimize_once(objective, z0)
+            want = _reference_search(_objective_and_start(name)[0], z0)
+        self.assert_same_search(got, want)
+        return got
+
+    @pytest.mark.parametrize("name", ["ar1", "ar2", "ma-unit-root", "seasonal"])
+    def test_same_search_from_the_fit_start(self, name):
+        result = self.run_both(name)
+        assert result.success
+
+    def test_ma_unit_root_search_saturates(self):
+        result = self.run_both("ma-unit-root")
+        assert abs(result.x[0]) > 5.0  # theta within ~1e-5 of -1
+
+    def test_same_search_from_an_inadmissible_start(self):
+        objective, _ = _objective_and_start("random-walk")
+        z0 = np.array([7.0, 7.0])  # both partial autocorrelations within 2e-6 of +1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert objective(z0) == np.inf
+        result = self.run_both("random-walk", z0)
+        assert np.isfinite(result.fun)
+
+    @pytest.mark.parametrize("cap", [12, 13, 14, 30])
+    def test_same_stop_on_the_evaluation_cap(self, cap, monkeypatch):
+        monkeypatch.setattr(estimation, "GRAD_MAX_EVALS", cap)
+        monkeypatch.setattr(estimation, "NM_MAX_EVALS", 60)
+        objective, z0 = _objective_and_start("ar2")
+        lbfgsb = scipy.optimize.minimize(
+            lambda z: estimation._value_and_gradient(objective, z), z0, method="L-BFGS-B", jac=True,
+            options={"maxfun": cap // 3, "ftol": 1e-11, "gtol": 1e-7},
+        )
+        assert "EXCEEDS LIMIT" in lbfgsb.message
+        self.run_both("ar2")
+
+    def test_gradient_falls_back_to_a_relative_step_where_the_step_rounds_away(self):
+        calls = []
+
+        def objective(z):
+            calls.append(z.copy())
+            return float(np.sum(z * z))
+
+        z = np.array([1e9, -1e9, 0.5])
+        f0, grad = estimation._value_and_gradient(objective, z)
+        steps = np.array(calls[1:]) - z  # one probe per coordinate
+        assert grad.tobytes() == scipy.optimize.approx_fprime(z, objective, 1e-8).tobytes()
+        assert np.count_nonzero(steps) == 3
+        assert np.diag(steps).tolist() == [2.0**-26 * 1e9, -(2.0**-26) * 1e9, (0.5 + 1e-8) - 0.5]
+
+    def test_regression_start_equals_the_loop_form(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        cases = [(SarimaSpec(p, 0, q, P=P, Q=Q, s=7), make_series(np.cumsum(rng.normal(size=n))))
+                 for p, q, P, Q, n in [(1, 1, 0, 0, 80), (2, 2, 0, 0, 300), (0, 1, 1, 1, 500), (1, 0, 0, 2, 260)]]
+        with_product = [estimation._hannan_rissanen_start(s.values - s.values.mean(), spec) for spec, s in cases]
+        monkeypatch.setattr(estimation, "_long_ar_residuals", _oracles.long_ar_residuals_loop)
+        with_loop = [estimation._hannan_rissanen_start(s.values - s.values.mean(), spec) for spec, s in cases]
+        assert [z.tobytes() for z in with_product] == [z.tobytes() for z in with_loop]
+        assert all(np.any(z != 0.0) for z in with_product)
+
+    @given(n=st.integers(5, 400), order=st.integers(1, 40), seed=st.integers(0, 2**16))
+    @settings(deadline=None, max_examples=40)
+    def test_long_ar_residuals_equal_the_loop_form(self, n, order, seed):
+        order = min(order, n - 1)
+        rng = np.random.default_rng(seed)
+        wc = rng.normal(size=n).cumsum() * 100.0
+        a_long = rng.normal(size=order) * 0.3
+        got = estimation._long_ar_residuals(wc, a_long)
+        assert got.tobytes() == _oracles.long_ar_residuals_loop(wc, a_long).tobytes()
+
+    @pytest.mark.parametrize("name", ["ar1", "seasonal"])
+    def test_fit_is_unchanged_and_makes_the_same_passes(self, name, monkeypatch):
+        spec, series = _search_case(name)
+        passes = []
+        innovations = estimation._innovations
+        monkeypatch.setattr(estimation, "_innovations", lambda *args: passes.append(1) or innovations(*args))
+        result = fit(spec, series)
+        lean = len(passes)
+        # the reference: SciPy differences the objective itself
+        monkeypatch.setattr(estimation, "_minimize_once", _reference_search)
+        passes.clear()
+        reference = fit(spec, series)
+        assert len(passes) == lean
+        assert result.loglik == reference.loglik
+        assert result.params == reference.params
+        assert result.converged == reference.converged
+        assert result.residuals.tobytes() == reference.residuals.tobytes()
 
 
 class TestForecast:
