@@ -200,8 +200,11 @@ def _acf_values(x: np.ndarray, max_lag: int) -> np.ndarray:
     return vals
 
 
-def _pacf_values(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Partial autocorrelations of ``x`` for lags 1..max_lag: Durbin-Levinson on its sample ACF."""
+def _pacf_values(x: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partial autocorrelations of ``x`` for lags 1..max_lag and the AR(max_lag) coefficients.
+
+    Both come from one Durbin-Levinson pass on the sample ACF of ``x``.
+    """
     rho = _acf_values(x, max_lag)
     pac = np.empty(max_lag)
     a = np.zeros(max_lag)
@@ -221,7 +224,7 @@ def _pacf_values(x: np.ndarray, max_lag: int) -> np.ndarray:
         a[: k - 1] = a[: k - 1] - kappa * a[: k - 1][::-1]
         a[k - 1] = kappa
         pac[k - 1] = kappa
-    return pac
+    return pac, a
 
 
 def acf(series: TimeSeries, max_lag: int) -> CorrelogramResult:
@@ -242,7 +245,7 @@ def pacf(series: TimeSeries, max_lag: int) -> CorrelogramResult:
     if not 1 <= max_lag <= n // 2:
         raise SpecError(f"max_lag must be in 1..n/2 = {n // 2}, got {max_lag}")
     x = series.require_complete("autocorrelation")
-    return CorrelogramResult(kind="pacf", values=_pacf_values(x, max_lag), band=1.96 / np.sqrt(n))
+    return CorrelogramResult(kind="pacf", values=_pacf_values(x, max_lag)[0], band=1.96 / np.sqrt(n))
 
 
 def _unit_root_tests(series: TimeSeries, max_d: int = 2, regression: str = "c"):

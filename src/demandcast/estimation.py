@@ -100,13 +100,10 @@ class SarimaSpec:
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise SpecError(f"order {name} must be an integer, got {v!r}")
             object.__setattr__(self, name, int(v))
-        if min(self.p, self.d, self.q, self.P, self.D, self.Q) < 0:
+        if min(self.p, self.q, self.P, self.Q) < 0:
             raise SpecError(f"orders must be non-negative, got {self.label()}")
-        if self.d > 2 or self.D > 1:
-            raise SpecError(f"differencing is capped at d<=2, D<=1, got d={self.d}, D={self.D}")
-        if self.s < 1:
-            raise SpecError(f"seasonal period must be >= 1, got {self.s}")
-        if (self.P or self.D or self.Q) and self.s < 2:
+        self.diff_spec  # building the DifferenceSpec checks d, D and s
+        if (self.P or self.Q) and self.s < 2:
             raise SpecError("seasonal terms need a seasonal period of at least 2")
         if self.ar_order > MAX_EXPANDED_ORDER or self.ma_order > MAX_EXPANDED_ORDER:
             raise SpecError(
@@ -683,7 +680,7 @@ def _hannan_rissanen_start(wc: np.ndarray, spec: SarimaSpec) -> np.ndarray:
         if long_order < 1 or n - long_order < 20:
             return zeros
         try:
-            a_long = pacf_to_coeffs(_pacf_values(wc, long_order))
+            _, a_long = _pacf_values(wc, long_order)
         except (DataError, NumericalError):
             return zeros
         resid = _long_ar_residuals(wc, a_long)
@@ -867,17 +864,10 @@ def fit(spec: SarimaSpec, series: TimeSeries, seed: int = 0) -> SarimaFit:
 # forecasting and simulation
 
 
-def _difference_factors(diff: DifferenceSpec) -> list[np.ndarray]:
-    """Lag polynomials 1-B (d times) then 1-B^s (D times), lag 0 first."""
-    seasonal = np.zeros(diff.s + 1)
-    seasonal[0], seasonal[-1] = 1.0, -1.0
-    return [np.array([1.0, -1.0])] * diff.d + [seasonal] * diff.D
-
-
 def _integrated_ar(ar_rec: np.ndarray, diff: DifferenceSpec) -> np.ndarray:
     """Lag polynomial phi(B)(1-B)^d(1-B^s)^D of the undifferenced series, lag 0 first."""
     poly = np.append(1.0, -ar_rec)
-    for factor in _difference_factors(diff):
+    for factor in reversed(diff.polynomials):
         poly = np.convolve(poly, factor)
     return poly
 
@@ -947,8 +937,8 @@ def simulate(
     """Draw a Gaussian sample path of length ``n`` from the model.
 
     The ARMA core is simulated with a burn-in of at least ten state
-    dimensions, the mean is added, then the differencing operators are
-    inverted one factor at a time, 1-B then 1-B^s, from zero initial values.
+    dimensions, the mean is added, then the passes of ``spec.diff_spec`` are
+    undone in reverse order, 1-B then 1-B^s, from zero initial values.
     """
     _check_dims(spec, params)
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
@@ -960,7 +950,7 @@ def simulate(
     eps = rng.normal(0.0, math.sqrt(params.sigma2), size=n + burn)
     path = _lag_recursion(np.append(1.0, ma_rec), np.append(1.0, -ar_rec), eps)[burn:]
     path = path + params.mean
-    for factor in _difference_factors(spec.diff_spec):
+    for factor in reversed(spec.diff_spec.polynomials):
         path = _lag_recursion(np.ones(1), factor, path)
     return TimeSeries(start_date, path)
 

@@ -18,14 +18,11 @@ import numpy as np
 
 from ._version import VERSION
 from .errors import SpecError
-from .metrics import FitMetrics, mape  # re-exported: metric API lives here
 from .pipeline import STRATEGY_ORDER, ImputationStrategy, RawRecord, assemble, impute
 from .selection import CandidateSet, EvaluationRow, RankedResults, StepwiseConfig, _grid_tasks, _run_tasks
 from .series import SplitSpec
 
 __all__ = [
-    "FitMetrics",
-    "mape",
     "StudyTable",
     "StudyReport",
     "run_study",

@@ -93,19 +93,6 @@ class DatasetBundle:
             raise DataError(f"bundle {self.name!r} must be gap-free")
 
 
-# Canonical column keys for the raw export, in file order.
-CANONICAL_COLUMNS = (
-    "date",
-    "max_demand_mw",
-    "shortage_during_max_demand_mw",
-    "energy_met_mu",
-    "drawal_schedule_mu",
-    "od_ud_mu",
-    "max_od_mw",
-    "energy_shortage_mu",
-)
-
-
 def _normalize_header(cell: str) -> str:
     return "".join(ch for ch in cell.lower() if ch.isalnum())
 
@@ -472,9 +459,11 @@ def _mode_value(present: np.ndarray) -> float:
 def impute(series: TimeSeries, strategy: ImputationStrategy) -> DatasetBundle:
     """Resolve missing days per ``strategy`` and return the named dataset.
 
-    Drop compacts the series onto consecutive synthetic dates starting at the
-    first observed day, which stretches lag-k relations across unequal real
-    gaps; that distortion is accepted and documented rather than hidden.
+    Drop compacts the series onto consecutive synthetic dates ending at the
+    last observed day, so forecasts and date splits on it follow the real
+    calendar from its end; its start moves later by one day per missing day
+    inside the span.  Compacting stretches lag-k relations across unequal
+    real gaps; that distortion is accepted and documented rather than hidden.
     """
     values = series.values
     missing = np.isnan(values)
@@ -485,8 +474,8 @@ def impute(series: TimeSeries, strategy: ImputationStrategy) -> DatasetBundle:
         )
     n_missing = int(missing.sum())
     if strategy is ImputationStrategy.DROP:
-        first_present = int(np.flatnonzero(~missing)[0])
-        out = TimeSeries(series.start_date + first_present * ONE_DAY, present)
+        last_present = int(np.flatnonzero(~missing)[-1])
+        out = TimeSeries(series.start_date + (last_present + 1 - present.size) * ONE_DAY, present)
     elif strategy is ImputationStrategy.MEAN:
         out = _fill(series, float(np.mean(present)))
     elif strategy is ImputationStrategy.MEDIAN:

@@ -4,7 +4,10 @@ A :class:`TimeSeries` is an evenly spaced daily sequence: slot ``i`` holds the
 value for ``start_date + i`` days and ``NaN`` marks a missing day.  The
 transforms in this module are the backbone of everything downstream, so they
 are written to be exactly invertible: ``integrate(difference(x), spec,
-dropped_initials(x, spec))`` reproduces ``x`` up to float rounding.
+dropped_initials(x, spec))`` reproduces ``x`` up to float rounding.  A
+:class:`DifferenceSpec` lists the differencing passes once; ``difference``
+and ``dropped_initials`` run them in one loop and ``integrate`` undoes them
+in reverse.
 """
 
 from __future__ import annotations
@@ -74,7 +77,12 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class DifferenceSpec:
-    """Differencing orders: ``d`` regular passes and ``D`` seasonal passes at lag ``s``."""
+    """Differencing orders: ``d`` regular passes and ``D`` seasonal passes at lag ``s``.
+
+    The one statement of the operator (1-B)^d (1-B^s)^D: :attr:`lags` lists its
+    passes in application order, and :func:`difference`, :func:`integrate`,
+    forecasting and simulation all read them from here.
+    """
 
     d: int = 0
     D: int = 0
@@ -96,9 +104,33 @@ class DifferenceSpec:
             raise SpecError("seasonal differencing requires a period of at least 2")
 
     @property
+    def lags(self) -> tuple[int, ...]:
+        """Lag of each pass in application order: ``D`` passes at ``s``, then ``d`` at 1."""
+        return (self.s,) * self.D + (1,) * self.d
+
+    @property
     def n_dropped(self) -> int:
         """Observations consumed from the head of a series by one application."""
-        return self.d + self.D * self.s
+        return sum(self.lags)
+
+    @property
+    def polynomials(self) -> list[np.ndarray]:
+        """Lag polynomial 1 - B^lag of each pass in application order, lag 0 first."""
+        return [np.concatenate(([1.0], np.zeros(lag - 1), [-1.0])) for lag in self.lags]
+
+
+def _passes(series: TimeSeries, spec: DifferenceSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Apply the passes of ``spec``; returns the result and the head each pass dropped."""
+    w = series.require_complete("differencing")
+    if len(series) <= spec.n_dropped:
+        raise InsufficientDataError(
+            f"series of length {len(series)} is too short to difference with d={spec.d}, D={spec.D}, s={spec.s}"
+        )
+    heads = []
+    for lag in spec.lags:
+        heads.append(w[:lag])
+        w = w[lag:] - w[:-lag]
+    return w, heads
 
 
 def difference(series: TimeSeries, spec: DifferenceSpec) -> TimeSeries:
@@ -107,44 +139,28 @@ def difference(series: TimeSeries, spec: DifferenceSpec) -> TimeSeries:
     The result starts ``d + D*s`` days after the input; the dropped leading
     values are recoverable via :func:`dropped_initials`.
     """
-    x = series.require_complete("differencing")
-    if len(series) <= spec.n_dropped:
-        raise InsufficientDataError(
-            f"series of length {len(series)} is too short to difference with d={spec.d}, D={spec.D}, s={spec.s}"
-        )
-    w = x
-    for _ in range(spec.D):
-        w = w[spec.s:] - w[:-spec.s]
-    for _ in range(spec.d):
-        w = w[1:] - w[:-1]
+    w, _ = _passes(series, spec)
     return TimeSeries(series.start_date + spec.n_dropped * ONE_DAY, w)
 
 
 def dropped_initials(series: TimeSeries, spec: DifferenceSpec) -> np.ndarray:
     """Leading values consumed by :func:`difference`, in the order dropped.
 
-    Each seasonal pass drops ``s`` values of its input, then each regular pass
-    drops one; :func:`integrate` consumes this array back to front.
+    Each pass drops the first ``lag`` values of its input (``s`` for a
+    seasonal pass, one for a regular pass); :func:`integrate` consumes this
+    array back to front.
     """
-    x = series.require_complete("differencing")
-    if len(series) <= spec.n_dropped:
-        raise InsufficientDataError("series too short for the requested differencing")
-    out: list[float] = []
-    w = x
-    for _ in range(spec.D):
-        out.extend(w[: spec.s])
-        w = w[spec.s:] - w[:-spec.s]
-    for _ in range(spec.d):
-        out.append(w[0])
-        w = w[1:] - w[:-1]
-    return np.asarray(out, dtype=float)
+    _, heads = _passes(series, spec)
+    return np.concatenate(heads or [np.zeros(0)])
 
 
 def integrate(differenced: TimeSeries, spec: DifferenceSpec, initial_values: np.ndarray) -> TimeSeries:
     """Invert :func:`difference` given the dropped leading values.
 
     ``initial_values`` must hold exactly ``d + D*s`` entries as produced by
-    :func:`dropped_initials`.
+    :func:`dropped_initials`.  The passes are undone in reverse order; undoing
+    one at lag ``l`` makes each residue class mod ``l`` a running sum from its
+    dropped value.
     """
     init = np.asarray(initial_values, dtype=float)
     if init.ndim != 1 or init.size != spec.n_dropped:
@@ -155,17 +171,11 @@ def integrate(differenced: TimeSeries, spec: DifferenceSpec, initial_values: np.
         raise DataError("initial values for integration must be finite")
     w = differenced.require_complete("integration")
     idx = init.size
-    for _ in range(spec.d):
-        idx -= 1
-        w = np.concatenate(([init[idx]], init[idx] + np.cumsum(w)))
-    for _ in range(spec.D):
-        idx -= spec.s
-        head = init[idx: idx + spec.s]
-        out = np.empty(w.size + spec.s)
-        # each residue class mod s integrates independently
-        for r0 in range(spec.s):
-            tail = w[r0:: spec.s]
-            out[r0:: spec.s] = np.concatenate(([head[r0]], head[r0] + np.cumsum(tail)))
+    for lag in reversed(spec.lags):
+        idx -= lag
+        out = np.empty(w.size + lag)
+        for r0, head in enumerate(init[idx: idx + lag]):
+            out[r0::lag] = np.concatenate(([head], head + np.cumsum(w[r0::lag])))
         w = out
     start = differenced.start_date - spec.n_dropped * ONE_DAY
     return TimeSeries(start, w)

@@ -317,6 +317,14 @@ class TestFit:
         _, meta = load_fit(tmp_path / "model.txt")
         assert meta["dataset"] == "dropna"
 
+    def test_date_split_on_dropna_follows_the_calendar(self, capsys, tmp_path):
+        # dropna ends on the fixture's last observed day, 2020-02-24
+        assert run(
+            "fit", "--input", FIX, "--out-dir", str(tmp_path),
+            "--spec", "1,0,0", "--split", "date:2020-01-31",
+        ) == 0
+        assert "on dropna (train 382 days, test 24 days)" in capsys.readouterr().out
+
     def test_spec_is_mandatory_and_single(self, tmp_path):
         base = ("fit", "--input", FIX, "--out-dir", str(tmp_path), "--split", "count:60")
         assert run(*base) == 1
@@ -486,6 +494,14 @@ class TestForecast:
         assert first[0] == "2020-02-25"
         point, lo, hi = float(first[1]), float(first[2]), float(first[3])
         assert lo < point < hi
+
+    def test_default_dropna_forecast_continues_the_calendar(self, capsys, tmp_path):
+        # dropna ends on the last observed day, so its forecasts start the day after
+        assert run("fit", "--input", FIX, "--out-dir", str(tmp_path), "--spec", "0,0,0,1,1,1,7") == 0
+        assert run("forecast", "--input", FIX, "--out-dir", str(tmp_path), "--horizon", "3") == 0
+        assert "from dropna, horizon 3" in capsys.readouterr().out
+        lines = (tmp_path / "forecast.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["2020-02-25", "2020-02-26", "2020-02-27"]
 
     def test_missing_model_exits_two(self, tmp_path):
         assert run("forecast", "--input", FIX, "--out-dir", str(tmp_path)) == 2

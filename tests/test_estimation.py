@@ -767,6 +767,15 @@ class TestSearchMatchesScipyDifferences:
         assert [z.tobytes() for z in with_product] == [z.tobytes() for z in with_loop]
         assert all(np.any(z != 0.0) for z in with_product)
 
+    @given(n=st.integers(180, 400), order=st.integers(1, 89), seed=st.integers(0, 2**16))
+    @settings(deadline=None, max_examples=40)
+    def test_long_ar_coefficients_equal_the_pacf_map(self, n, order, seed):
+        # the start reads the Durbin-Levinson pass's own coefficients, which
+        # must be the bits pacf_to_coeffs makes from its partial autocorrelations
+        wc = np.random.default_rng(seed).normal(size=n).cumsum()
+        pac, coeffs = estimation._pacf_values(wc - wc.mean(), order)
+        assert coeffs.tobytes() == pacf_to_coeffs(pac).tobytes()
+
     @given(n=st.integers(5, 400), order=st.integers(1, 40), seed=st.integers(0, 2**16))
     @settings(deadline=None, max_examples=40)
     def test_long_ar_residuals_equal_the_loop_form(self, n, order, seed):

@@ -566,7 +566,9 @@ class TestImpute:
     def test_drop_compacts_onto_synthetic_dates(self):
         bundle = impute(make_series(self.gappy), ImputationStrategy.DROP)
         np.testing.assert_array_equal(bundle.series.values, [10.0, 20.0, 20.0, 40.0])
-        assert bundle.series.start_date == START
+        # the compacted series ends on the last observed day, slot 4
+        assert bundle.series.start_date == START + dt.timedelta(days=1)
+        assert bundle.series.end_date == START + dt.timedelta(days=4)
         assert bundle.n_imputed == 2
         assert bundle.name == "dropna"
 
