@@ -420,7 +420,9 @@ def cmd_search(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     (grid,) = _grids(cfg, ("stepwise",))
     if isinstance(grid, StepwiseConfig):
-        ranked, row = _stepwise_holdout(grid, *split(bundle.series, cfg.split), cfg.seed, bundle.name)
+        ranked, row = _stepwise_holdout(grid, *split(bundle.series, cfg.split), cfg.seed)
+        if row is None:
+            raise NumericalError(f"stepwise search: no candidate could be fitted on {bundle.name}")
         print(f"stepwise winner on {bundle.name}: {row.spec.label()} (aic {ranked.best.aic:.3f})")
         if not row.failed:
             print(f"holdout test MAPE: {row.test_mape:.3f}")

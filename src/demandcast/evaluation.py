@@ -89,13 +89,14 @@ def run_study(
     base = assemble(records)
     bundles = [impute(base, strategy) for strategy in strategies]
     pairs = [(bundle, grid) for bundle in bundles for grid in grids]
-    tasks = [_grid_tasks(bundle.series, split_spec, grid, seed, bundle.name) for bundle, grid in pairs]
+    tasks = [_grid_tasks(bundle.series, split_spec, grid, seed) for bundle, grid in pairs]
     results = iter(_run_tasks([task for pair_tasks in tasks for task in pair_tasks], jobs))
     tables = []
     for (bundle, grid), pair_tasks in zip(pairs, tasks):
         rows = [next(results) for _ in pair_tasks]
         if isinstance(grid, StepwiseConfig):  # its task returns (ranking, holdout row of the winner)
-            rows = [rows[0][1]]
+            ranked, winner = rows[0]
+            rows = ranked.rows if winner is None else [winner]  # no winner: every visited fit failed
         tables.append(StudyTable(bundle.name, grid.name, RankedResults(tuple(rows), "test_mape")))
     return StudyReport(tables=tuple(tables), split=split_spec, seed=seed)
 

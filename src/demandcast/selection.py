@@ -11,16 +11,16 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .diagnostics import recommend_differencing
 from .errors import InsufficientDataError, NumericalError, SpecError
-from .estimation import SarimaSpec, fit
+from .estimation import SarimaFit, SarimaSpec, fit
 from .metrics import dynamic_metrics, one_step_metrics
-from .series import SplitSpec, TimeSeries, split
+from .series import DifferenceSpec, SplitSpec, TimeSeries, split
 
 # (p, d, q) rows of the non-seasonal comparison table
 ARIMA_TABLE_ORDERS: tuple[tuple[int, int, int], ...] = (
@@ -137,37 +137,41 @@ class RankedResults:
         return head
 
 
-def _evaluate_candidate(
-    spec: SarimaSpec, train: TimeSeries, test: TimeSeries | None, seed: int
-) -> EvaluationRow:
-    """Fit one candidate and measure it; failures become rows, not exceptions."""
+_ROW_ERRORS = (NumericalError, InsufficientDataError, SpecError)
+
+
+def _failed_row(spec: SarimaSpec, exc: Exception) -> EvaluationRow:
+    nan = float("nan")
+    return EvaluationRow(spec, nan, nan, nan, nan, nan, converged=False, error=f"{type(exc).__name__}: {exc}")
+
+
+def _fit_candidate(spec: SarimaSpec, train: TimeSeries, seed: int) -> tuple[EvaluationRow, SarimaFit | None]:
+    """Fit one candidate and measure it in sample: its row (test_mape NaN) and its fit, None if the row failed."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fit_result = fit(spec, train, seed=seed)
         train_mape = one_step_metrics(fit_result, train).mape
-        test_mape = dynamic_metrics(fit_result, train, test).mape if test is not None else float("nan")
-        return EvaluationRow(
-            spec=spec,
-            train_mape=train_mape,
-            test_mape=test_mape,
-            aic=fit_result.aic,
-            bic=fit_result.bic,
-            loglik=fit_result.loglik,
-            converged=fit_result.converged,
-        )
-    except (NumericalError, InsufficientDataError, SpecError) as exc:
-        nan = float("nan")
-        return EvaluationRow(
-            spec=spec,
-            train_mape=nan,
-            test_mape=nan,
-            aic=nan,
-            bic=nan,
-            loglik=nan,
-            converged=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    except _ROW_ERRORS as exc:
+        return _failed_row(spec, exc), None
+    return EvaluationRow(
+        spec=spec, train_mape=train_mape, test_mape=float("nan"),
+        aic=fit_result.aic, bic=fit_result.bic, loglik=fit_result.loglik, converged=fit_result.converged,
+    ), fit_result
+
+
+def _with_holdout(row: EvaluationRow, fit_result: SarimaFit, train: TimeSeries, test: TimeSeries) -> EvaluationRow:
+    """``row`` of ``fit_result`` with its dynamic test MAPE; a failing forecast fails the row."""
+    try:
+        return replace(row, test_mape=dynamic_metrics(fit_result, train, test).mape)
+    except _ROW_ERRORS as exc:
+        return _failed_row(row.spec, exc)
+
+
+def _evaluate_candidate(spec: SarimaSpec, train: TimeSeries, test: TimeSeries, seed: int) -> EvaluationRow:
+    """Fit one candidate and measure it; failures become rows, not exceptions."""
+    row, fit_result = _fit_candidate(spec, train, seed)
+    return row if fit_result is None else _with_holdout(row, fit_result, train, test)
 
 
 def _call(task: tuple):
@@ -267,13 +271,14 @@ def evaluate_grid(
     with the same worker count and joined at exit; its workers run the
     library as it was loaded at fork time (see ``_run_tasks``).
     """
-    rows = _run_tasks(_grid_tasks(series, split_spec, candidates, seed, ""), jobs)
+    rows = _run_tasks(_grid_tasks(series, split_spec, candidates, seed), jobs)
     return RankedResults(rows=tuple(rows), ranking_key=ranking_key)
 
 
 @dataclass(frozen=True)
 class StepwiseConfig:
-    """Caps and fixed orders for the stepwise search."""
+    """Caps and fixed orders for the stepwise search.  ``d``, ``D`` and the searched
+    period (``s`` in a seasonal search, else 1) must make a valid :class:`DifferenceSpec`."""
 
     name: ClassVar[str] = "stepwise"
     max_p: int = 5
@@ -287,14 +292,10 @@ class StepwiseConfig:
     max_steps: int = 50
 
     def __post_init__(self) -> None:
-        if min(self.max_p, self.max_q, self.max_P, self.max_Q) < 0:
-            raise SpecError("stepwise caps must be non-negative")
-        if self.s < 1:
-            raise SpecError(f"seasonal period must be >= 1, got {self.s}")
-        if self.d is not None and not 0 <= self.d <= 2:
-            raise SpecError(f"d must be in 0..2, got {self.d}")
-        if not 0 <= self.D <= 1:
-            raise SpecError(f"D must be 0 or 1, got {self.D}")
+        caps = (self.max_p, self.max_q, self.max_P, self.max_Q, self.max_steps)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0 for v in caps):
+            raise SpecError(f"stepwise caps and max_steps must be non-negative integers, got {caps}")
+        DifferenceSpec(d=0 if self.d is None else self.d, D=self.D, s=self.s if self.seasonal else 1)
 
 
 def stepwise_search(
@@ -303,22 +304,32 @@ def stepwise_search(
     """AIC hill climb over (p, q, P, Q) from a handful of canonical starts.
 
     ``d`` defaults to the unit-root recommendation on the given series.  The
-    returned table ranks every spec the search visited; holdout accuracy is
-    not computed here (test_mape is NaN), evaluate the winner separately.
+    returned table ranks every spec the search visited, each fitted once;
+    holdout accuracy is not computed here (test_mape is NaN).
     """
-    if config.d is not None:
-        d = config.d
-    else:
+    ranked, _ = _stepwise_holdout(config, series, None, seed)
+    if ranked.best is None:
+        raise NumericalError("stepwise search: no candidate could be fitted")
+    return ranked
+
+
+def _stepwise_holdout(
+    config: StepwiseConfig, train: TimeSeries, test: TimeSeries | None, seed: int
+) -> tuple[RankedResults, EvaluationRow | None]:
+    """Stepwise search on the training side: its ranking, and the holdout row of its winner
+    from the search's own fit (None without a test side or when no visited spec could be fitted)."""
+    d = config.d
+    if d is None:
         try:
-            d = recommend_differencing(series, s=config.s).d
+            d = recommend_differencing(train, s=config.s).d
         except InsufficientDataError as exc:
-            warnings.warn(f"differencing recommendation failed ({exc}); using d=2", stacklevel=2)
+            warnings.warn(f"differencing recommendation failed ({exc}); using d=2", stacklevel=3)
             d = 2
-    seasonal = config.seasonal and config.s >= 2
-    D = config.D if seasonal else 0
+    s = config.s if config.seasonal else 1
+    seasonal = s >= 2
 
     def make_spec(p: int, q: int, P: int, Q: int) -> SarimaSpec:
-        return SarimaSpec(p=p, d=d, q=q, P=P, D=D, Q=Q, s=config.s if seasonal else 1)
+        return SarimaSpec(p=p, d=d, q=q, P=P, D=config.D, Q=Q, s=s)
 
     def clamp(p: int, q: int, P: int, Q: int) -> bool:
         return (
@@ -333,21 +344,16 @@ def stepwise_search(
         starts += [(1, 0, 1, 0), (0, 1, 0, 1), (2, 2, 1, 1)]
     starts = [c for c in starts if clamp(*c)]
 
-    visited: dict[tuple[int, int, int, int], EvaluationRow] = {}
-
-    def evaluate(coords: tuple[int, int, int, int]) -> EvaluationRow:
-        if coords not in visited:
-            visited[coords] = _evaluate_candidate(make_spec(*coords), series, None, seed)
-        return visited[coords]
-
-    for coords in starts:
-        evaluate(coords)
+    visited: dict[tuple[int, int, int, int], tuple[EvaluationRow, SarimaFit | None]] = {}
 
     def aic_of(coords: tuple[int, int, int, int]) -> float:
-        row = visited[coords]
+        """AIC of the spec at ``coords``, fitted on first use; inf for a failed fit."""
+        if coords not in visited:
+            visited[coords] = _fit_candidate(make_spec(*coords), train, seed)
+        row = visited[coords][0]
         return row.aic if not row.failed and np.isfinite(row.aic) else np.inf
 
-    current = min(visited, key=aic_of)
+    current = min(starts, key=aic_of)
     for _ in range(config.max_steps):
         p, q, P, Q = current
         neighbors = [
@@ -358,34 +364,23 @@ def stepwise_search(
             )
             if clamp(p + dp, q + dq, P + dP, Q + dQ)
         ]
-        for coords in neighbors:
-            evaluate(coords)
         best_neighbor = min(neighbors, key=aic_of, default=None)
         if best_neighbor is None or aic_of(best_neighbor) >= aic_of(current) - 1e-9:
             break
         current = best_neighbor
 
-    rows = tuple(visited.values())
-    if all(row.failed for row in rows):
-        raise NumericalError("stepwise search: no candidate could be fitted")
-    return RankedResults(rows=rows, ranking_key="aic")
-
-
-def _stepwise_holdout(
-    config: StepwiseConfig, train: TimeSeries, test: TimeSeries, seed: int, dataset: str
-) -> tuple[RankedResults, EvaluationRow]:
-    """Stepwise search on the training side: its ranking and the holdout row of its winner."""
-    ranked = stepwise_search(train, config, seed=seed)
-    if ranked.best is None:
-        raise NumericalError(f"stepwise search produced no usable candidate on {dataset}")
-    return ranked, _evaluate_candidate(ranked.best.spec, train, test, seed)
+    ranked = RankedResults(rows=tuple(row for row, _ in visited.values()), ranking_key="aic")
+    if ranked.best is None or test is None:
+        return ranked, None
+    fits = {row.spec: fit_result for row, fit_result in visited.values()}
+    return ranked, _with_holdout(ranked.best, fits[ranked.best.spec], train, test)
 
 
 def _grid_tasks(
-    series: TimeSeries, split_spec: SplitSpec, grid: CandidateSet | StepwiseConfig, seed: int, dataset: str
+    series: TimeSeries, split_spec: SplitSpec, grid: CandidateSet | StepwiseConfig, seed: int
 ) -> list[tuple]:
     """Runner tasks of one grid on one series: a fit per candidate, or one stepwise search."""
     train, test = split(series, split_spec)
     if isinstance(grid, StepwiseConfig):
-        return [(_stepwise_holdout, grid, train, test, seed, dataset)]
+        return [(_stepwise_holdout, grid, train, test, seed)]
     return [(_evaluate_candidate, spec, train, test, seed) for spec in grid.specs]

@@ -198,10 +198,10 @@ class SplitSpec:
                 raise SpecError("count split needs a positive integer number of test days")
             object.__setattr__(self, "value", int(self.value))
         elif self.mode == "fraction":
-            f = float(self.value)
-            if not 0.0 < f < 1.0:
-                raise SpecError(f"fraction split needs a value in (0, 1), got {f}")
-            object.__setattr__(self, "value", f)
+            f = self.value
+            if not isinstance(f, (int, float, np.integer, np.floating)) or isinstance(f, bool) or not 0.0 < f < 1.0:
+                raise SpecError(f"fraction split needs a number in (0, 1), got {f!r}")
+            object.__setattr__(self, "value", float(f))
         elif not isinstance(self.value, dt.date) or isinstance(self.value, dt.datetime):
             raise SpecError("date split needs a datetime.date cut point")
 
@@ -220,7 +220,7 @@ class SplitSpec:
     @classmethod
     def parse(cls, text: str) -> "SplitSpec":
         """Parse the CLI form ``count:N``, ``frac:F`` or ``date:YYYY-MM-DD``."""
-        kind, _, raw = text.partition(":")
+        kind, _, raw = text.partition(":") if isinstance(text, str) else ("", "", "")
         if not raw:
             raise SpecError(f"split must look like count:N, frac:F or date:YYYY-MM-DD, got {text!r}")
         try:

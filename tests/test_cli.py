@@ -181,8 +181,9 @@ class TestPrintConfig:
             ("fit", {"season": "weekly", "spec": "1,0,0"}),
             ("fit", {"allow_nonconverged": "yes", "spec": "1,0,0"}),
             ("report", {"spec": 5}),
+            ("fit", {"split": 60, "spec": "1,0,0"}),
         ],
-        ids=["format", "impute", "grid", "jobs", "season", "allow_nonconverged", "spec"],
+        ids=["format", "impute", "grid", "jobs", "season", "allow_nonconverged", "spec", "split"],
     )
     def test_config_file_values_are_checked_like_flags(self, command, settings, capsys,
                                                        tmp_path, monkeypatch):
@@ -196,8 +197,7 @@ class TestPrintConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(settings))
         out = tmp_path / "out"
-        assert run(command, "--input", FIX, "--out-dir", str(out), "--split", "count:60",
-                   "--config", str(cfg)) == 1
+        assert run(command, "--input", FIX, "--out-dir", str(out), "--config", str(cfg)) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not out.exists()
 
@@ -424,6 +424,17 @@ class TestReport:
         assert "## mean (stepwise)" in (tmp_path / "report.md").read_text()
         # one dataset, so its results file holds the same rows as the report
         assert (tmp_path / "mean_results.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+
+    def test_stepwise_study_keeps_a_dataset_whose_search_fits_nothing(self, tmp_path):
+        # count:404 leaves dropna 2 training days, too few for any candidate
+        with pytest.warns(UserWarning, match="differencing recommendation failed"):
+            assert run(
+                "report", "--input", FIX, "--out-dir", str(tmp_path), "--grid", "stepwise",
+                "--season", "1", "--split", "count:404",
+            ) == 0
+        section = (tmp_path / "report.md").read_text().split("## dropna (stepwise)\n", 1)[1].split("\n## ")[0]
+        assert section.lstrip().startswith("All candidate fits failed on this dataset:")
+        assert "InsufficientDataError" in section
 
     def test_stepwise_study_runs_in_one_pool_and_matches_serial(self, tmp_path, pool_sizes):
         # the header and the first 160 days keep five stepwise searches to a few seconds

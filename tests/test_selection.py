@@ -15,6 +15,7 @@ import demandcast
 from conftest import make_series
 from demandcast import (
     CandidateSet,
+    NumericalError,
     RankedResults,
     SarimaParams,
     SarimaSpec,
@@ -27,6 +28,7 @@ from demandcast import (
     log_likelihood,
     run_study,
     simulate,
+    split,
     stepwise_search,
 )
 from demandcast import selection
@@ -232,6 +234,51 @@ class TestStepwise:
             StepwiseConfig(d=3)
         with pytest.raises(SpecError):
             StepwiseConfig(D=2)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"D": 1, "s": 1}, {"D": 1, "seasonal": False}, {"d": 1.5}, {"d": True}, {"max_p": 2.5}],
+        ids=["D-at-period-1", "D-without-seasonal-search", "fractional-d", "bool-d", "fractional-cap"],
+    )
+    def test_config_rejects_what_the_search_would_not_run(self, settings):
+        with pytest.raises(SpecError):
+            StepwiseConfig(**settings)
+
+    def test_holdout_fits_each_visited_spec_once(self, seasonal_series, monkeypatch):
+        fitted = []
+
+        def counting_fit(spec, *args, **kwargs):
+            fitted.append(spec)
+            return fit(spec, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "fit", counting_fit)
+        train, test = split(seasonal_series, SplitSpec.by_count(60))
+        config = StepwiseConfig(max_p=1, max_q=1, max_P=1, max_Q=1, d=0, max_steps=3)
+        ranked, _ = selection._stepwise_holdout(config, train, test, 0)
+        assert len(fitted) == len(ranked.rows) == len(set(fitted))
+
+    @pytest.mark.parametrize("forecast_fails", [False, True], ids=["forecast", "failed-forecast"])
+    def test_holdout_row_is_the_winner_evaluated_alone(self, ar1_series, forecast_fails, monkeypatch):
+        if forecast_fails:
+            def failing_forecast(*args, **kwargs):
+                raise NumericalError("forecast failed")
+
+            monkeypatch.setattr(selection, "dynamic_metrics", failing_forecast)
+        train, test = split(ar1_series, SplitSpec.by_count(60))
+        config = StepwiseConfig(max_p=2, max_q=1, seasonal=False, max_steps=10)
+        ranked, holdout = selection._stepwise_holdout(config, train, test, 3)
+        alone = selection._evaluate_candidate(ranked.best.spec, train, test, 3)
+        assert holdout.failed is forecast_fails
+        # repr, since NaN fields never compare equal
+        assert repr(holdout) == repr(alone)
+
+    def test_search_that_fits_nothing(self):
+        train, test = split(make_series(np.arange(62.0)), SplitSpec.by_count(60))
+        config = StepwiseConfig(max_p=1, max_q=1, seasonal=False, d=2)
+        ranked, holdout = selection._stepwise_holdout(config, train, test, 0)
+        assert holdout is None and ranked.rows and all(r.failed for r in ranked.rows)
+        with pytest.raises(NumericalError, match="no candidate could be fitted"):
+            stepwise_search(train, config)
 
 
 def _openblas_threads() -> int | None:

@@ -201,10 +201,17 @@ class TestSplit:
         for text in ("count:365", "frac:0.8", "date:2021-05-01"):
             assert SplitSpec.parse(text).describe() == text
 
-    @pytest.mark.parametrize("text", ["count:", "count:x", "frac:1.5", "frac:0", "weird:3", "365"])
+    @pytest.mark.parametrize("text", ["count:", "count:x", "frac:1.5", "frac:0", "weird:3", "365", 60, None])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(SpecError):
             SplitSpec.parse(text)
+
+    @pytest.mark.parametrize(
+        "mode, value", [("fraction", "abc"), ("fraction", None), ("count", 1.5), ("date", "2021-05-01")]
+    )
+    def test_rejects_malformed_values(self, mode, value):
+        with pytest.raises(SpecError):
+            SplitSpec(mode, value)
 
     def test_default_split_holds_out_final_year(self):
         spec = default_split()
